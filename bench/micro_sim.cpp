@@ -1,7 +1,7 @@
 // Event-engine microbenchmark — the perf trajectory tracker for the
 // simulator core (DESIGN.md "Event engine").
 //
-// Three workloads, each checked for byte-identical behaviour before any
+// Two workloads, each checked for byte-identical behaviour before any
 // timing, so a speedup can never come from an ordering change:
 //
 //   churn        1M-event self-scheduling churn with O(1) cancels: the
@@ -15,10 +15,6 @@
 //                terminates) replayed on Engine::kLadder vs the
 //                Engine::kReferenceHeap ordering oracle; fleet state,
 //                billing and clock are fingerprinted and must match.
-//   zoned        the churn workload sharded over 8 independent zones,
-//                run_sequential vs run_parallel on a ThreadPool; the
-//                merged per-shard fingerprints must be identical (the
-//                determinism property the tsan replay suite pins).
 //
 // Modes:
 //   micro_sim           full sweep, writes BENCH_sim.json
@@ -42,20 +38,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "churn_workload.hpp"
 #include "cloud/provider.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 #include "sim/simulation_reference.hpp"
-#include "sim/zoned.hpp"
 
 namespace {
 
@@ -145,34 +138,6 @@ StormOut run_storm(sim::Simulation::Engine engine, std::uint64_t fleet) {
   h = fnv(h, provider.failure_count());
   h = fnv(h, provider.billing().billed_instances());
   h = fnv(h, std::bit_cast<std::uint64_t>(sim.now().value()));
-  out.hash = h;
-  return out;
-}
-
-// ---------------------------------------------------------------- zoned
-// The churn workload sharded over independent zones; per-shard
-// fingerprints merge in canonical shard order.
-struct ZonedOut {
-  std::uint64_t hash = 0;
-  std::uint64_t fired = 0;
-};
-
-ZonedOut run_zoned(std::size_t shards, std::uint64_t per_shard,
-                   ThreadPool* pool) {
-  sim::ZonedSimulation zoned(shards);
-  std::vector<std::unique_ptr<Churn<sim::Simulation, sim::EventHandle>>> drivers;
-  drivers.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    drivers.push_back(
-        std::make_unique<Churn<sim::Simulation, sim::EventHandle>>(
-            zoned.shard(s), per_shard));
-    drivers.back()->seed(2000);
-  }
-  ZonedOut out;
-  out.fired = pool != nullptr ? zoned.run_parallel(*pool)
-                              : zoned.run_sequential();
-  std::uint64_t h = kFnvOffset;
-  for (const auto& d : drivers) h = fnv(h, d->hash());
   out.hash = h;
   return out;
 }
@@ -271,35 +236,6 @@ int main(int argc, char** argv) {
         (void)run_storm(sim::Simulation::Engine::kLadder, fleet);
       });
       rows.push_back(Row{"fault_storm", oracle.events, t_ref, t_new});
-      print_row(rows.back());
-    }
-  }
-
-  // Zoned churn: sequential vs parallel must fingerprint identically;
-  // the row's ratio is the parallel speedup.
-  {
-    const std::size_t shards = 8;
-    const std::uint64_t per_shard = churn_events / shards;
-    ThreadPool pool;
-    const ZonedOut seq = run_zoned(shards, per_shard, nullptr);
-    const ZonedOut par = run_zoned(shards, per_shard, &pool);
-    if (seq.hash != par.hash || seq.fired != par.fired) {
-      std::fprintf(stderr,
-                   "FATAL: zoned parallel replay diverged from sequential "
-                   "(%016llx/%llu vs %016llx/%llu)\n",
-                   static_cast<unsigned long long>(seq.hash),
-                   static_cast<unsigned long long>(seq.fired),
-                   static_cast<unsigned long long>(par.hash),
-                   static_cast<unsigned long long>(par.fired));
-      all_identical = false;
-    } else {
-      const double t_seq = time_best_of(reps, [&] {
-        (void)run_zoned(shards, per_shard, nullptr);
-      });
-      const double t_par = time_best_of(reps, [&] {
-        (void)run_zoned(shards, per_shard, &pool);
-      });
-      rows.push_back(Row{"zoned_8shards", seq.fired, t_seq, t_par});
       print_row(rows.back());
     }
   }

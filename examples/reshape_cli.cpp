@@ -22,7 +22,7 @@
 #include "corpus/corpus.hpp"
 #include "corpus/distribution.hpp"
 #include "model/predictor.hpp"
-#include "provision/dynamic.hpp"
+#include "provision/controller.hpp"
 #include "provision/executor.hpp"
 #include "provision/planner.hpp"
 #include "reshape/merge.hpp"
@@ -181,24 +181,29 @@ int main(int argc, char** argv) {
   fleet_config.mixture = cloud::screened_fleet_mixture();
   cloud::CloudProvider fleet(exec_sim, root.split("fleet"), fleet_config);
   Rng run_noise = root.split("runs");
+  provision::ExecutionOptions exec;
+  exec.reshaped_unit = cli.app == "grep" ? cli.unit : Bytes(0);
   provision::ExecutionReport report;
   if (cli.dynamic) {
-    provision::ReschedulingOptions dyn;
-    dyn.checkpoint = cli.deadline / 6.0;
-    const provision::DynamicReport dyn_report =
-        provision::execute_with_rescheduling(fleet, plan, app, dyn,
-                                             run_noise);
-    report = dyn_report.execution;
-    std::printf("[dynamic] %zu replacement(s)\n",
-                dyn_report.replacements.size());
+    // §3.1 monitoring: the elastic controller checks the fleet every
+    // deadline/6 and hedges lagging instances.
+    provision::ElasticOptions elastic;
+    elastic.epoch = cli.deadline / 6.0;
+    const provision::CampaignReport campaign =
+        provision::run_campaign(fleet, plan, app, exec, elastic, run_noise);
+    report = campaign.execution;
+    std::printf("[dynamic] %zu epoch(s), %zu hedge(s), %zu won by the "
+                "hedge\n",
+                campaign.epochs.size(), campaign.hedges_launched,
+                campaign.speculative_wins);
   } else {
-    provision::ExecutionOptions exec;
-    exec.reshaped_unit = cli.app == "grep" ? cli.unit : Bytes(0);
     report = provision::execute_plan(fleet, plan, app, exec, run_noise);
   }
+  // One late-unit rule for both modes (the executor's `missed`).
+  const std::size_t missed = report.late_units();
   std::printf("[run] makespan %s, missed %zu/%zu, %.0f instance-hours, %s\n",
-              report.makespan.str().c_str(), report.missed,
+              report.makespan.str().c_str(), missed,
               report.instance_count(), report.instance_hours,
               report.cost.str().c_str());
-  return report.missed == 0 ? 0 : 1;
+  return missed == 0 ? 0 : 1;
 }

@@ -83,6 +83,7 @@ struct Unit {
   Seconds recovery_total{0.0};
   Seconds failed_at{0.0};
   bool pending_recovery = false;
+  bool hedge_won = false;  // completed by a speculative duplicate
   std::uint64_t file_count = 0;
   bool file_count_set = false;
   cloud::QualityClass quality = cloud::QualityClass::kFast;
@@ -157,10 +158,8 @@ class ElasticController {
         launch_member(i, base_.zone, /*speculative=*/false,
                       /*charge_budget=*/false);
       }
-      if (options_.epoch.value() > 0.0) {
-        epoch_event_ = provider_.sim().schedule_in(
-            options_.epoch, [this](sim::Simulation&) { on_epoch(); });
-      }
+      epoch_event_ = provider_.sim().schedule_in(
+          options_.epoch, [this](sim::Simulation&) { on_epoch(); });
       provider_.sim().run();
     } catch (...) {
       provider_.remove_failure_hook(hook);
@@ -505,6 +504,7 @@ class ElasticController {
     RESHAPE_REQUIRE(unit_digest(unit) == unit.digest,
                     "unit digest mismatch at completion");
     unit.done = true;
+    unit.hedge_won = member.speculative;
     unit.finished_at = provider_.sim().now();
     unit.remaining = Bytes(0);
     record_attempt(unit, member,
@@ -1060,7 +1060,11 @@ class ElasticController {
       outcome.file_count = unit->file_count;
       outcome.staging = unit->staging_total;
       outcome.exec_time = unit->exec_total;
-      outcome.work_time = unit->work_total + unit->recovery_total;
+      // A hedge's own attempt starts late, so a hedge-won unit's work time
+      // is its wall time from the first attempt to the win.
+      outcome.work_time = unit->hedge_won
+                              ? unit->finished_at - unit->first_work_begun
+                              : unit->work_total + unit->recovery_total;
       outcome.quality = unit->quality;
       outcome.completed = unit->done;
       outcome.error = unit->error;

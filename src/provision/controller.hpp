@@ -1,12 +1,14 @@
 // The elastic campaign controller: epoch re-planning, straggler defense,
 // and deadline-aware graceful degradation under fault storms.
 //
-// The static executor commits a fleet once and rides it to the end; the
-// dynamic rescheduler inspects each instance once at a fixed checkpoint.
-// Both leave the paper's §3.1/§7 monitoring loop unfinished: nothing
-// re-plans when the world drifts away from the model.  This controller
-// closes that loop.  A campaign runs as a sequence of *epochs* on the
-// shared event engine; at every epoch boundary the controller
+// The static executor commits a fleet once and rides it to the end:
+// nothing re-plans when the world drifts away from the model.  This
+// controller is the paper's §3.1/§7 "monitor the fleet and replace
+// lagging instances" loop, and the only driver that runs it; the §3.1
+// checkpoint rescheduler is this controller with the epoch set to the
+// checkpoint interval (`reshape_cli --dynamic`, tab_dynamic_rescheduling).
+// A campaign runs as a sequence of *epochs* on the shared event engine; at
+// every epoch boundary the controller
 //
 //   (a) ingests one progress report per fleet slot and flags stragglers
 //       with the robust median/MAD estimator (provision/straggler),
@@ -118,6 +120,8 @@ struct EpochDecision {
 struct CampaignReport {
   /// Per-unit outcomes in the executor's report shape (one outcome per
   /// work unit; met_deadline is campaign-clock: finished by `deadline`).
+  /// A unit won by a hedge reports work_time as its wall time from its
+  /// first attempt to the win.
   ExecutionReport execution;
   std::vector<EpochDecision> epochs;
 

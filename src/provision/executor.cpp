@@ -28,6 +28,14 @@ double ExecutionReport::worst_overrun() const {
   return worst;
 }
 
+std::size_t ExecutionReport::late_units() const {
+  return static_cast<std::size_t>(
+      std::count_if(outcomes.begin(), outcomes.end(),
+                    [this](const InstanceOutcome& o) {
+                      return !o.completed || o.work_time > deadline;
+                    }));
+}
+
 namespace {
 
 /// Mutable recovery state of one assignment.  Its data lives on one

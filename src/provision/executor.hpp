@@ -114,6 +114,9 @@ struct ExecutionReport {
   [[nodiscard]] std::size_t instance_count() const { return outcomes.size(); }
   /// Worst observed-over-deadline ratio (1.0 when all met).
   [[nodiscard]] double worst_overrun() const;
+  /// Outcomes not completed or with work_time over the deadline: what
+  /// `missed` counts for execute_plan, applied to any driver's report.
+  [[nodiscard]] std::size_t late_units() const;
 };
 
 /// The data layout one attempt over `remaining` bytes of an assignment

@@ -3,24 +3,17 @@
 //
 // A seeded lifecycle campaign (staggered launches under an aggressive
 // fault model, guarded terminates racing crashes) must fingerprint
-// byte-identically on (1) the reference-heap ordering oracle, (2) the
-// production ladder engine, and (3) zone-sharded execution — where the
-// parallel schedule must match the sequential one exactly.  Carries the
-// tsan-smoke label so the sharded path is swept for data races under
-// -DRESHAPE_SANITIZE=thread.
+// byte-identically on the reference-heap ordering oracle and on the
+// production ladder engine, and replay identically run after run.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "cloud/provider.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "sim/simulation.hpp"
-#include "sim/zoned.hpp"
 
 namespace reshape::cloud {
 namespace {
@@ -105,27 +98,6 @@ StormResult run_single(sim::Simulation::Engine engine, std::uint64_t fleet) {
   return out;
 }
 
-StormResult run_sharded(std::size_t shards, std::uint64_t fleet_per_shard,
-                        ThreadPool* pool) {
-  sim::ZonedSimulation zoned(shards);
-  std::vector<std::unique_ptr<CloudProvider>> providers;
-  for (std::size_t i = 0; i < shards; ++i) {
-    providers.push_back(std::make_unique<CloudProvider>(
-        zoned.shard(i), Rng(777 + i), storm_config()));
-    drive_storm(zoned.shard(i), *providers[i], fleet_per_shard,
-                0xC0FFEEULL + i);
-  }
-  StormResult out;
-  out.events = pool != nullptr ? zoned.run_parallel(*pool)
-                               : zoned.run_sequential();
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < shards; ++i) {
-    h = mix(h, storm_fingerprint(zoned.shard(i), *providers[i]));
-  }
-  out.hash = h;
-  return out;
-}
-
 TEST(StormReplay, LadderMatchesReferenceHeapByteForByte) {
   const StormResult oracle =
       run_single(sim::Simulation::Engine::kReferenceHeap, 2000);
@@ -133,14 +105,6 @@ TEST(StormReplay, LadderMatchesReferenceHeapByteForByte) {
       run_single(sim::Simulation::Engine::kLadder, 2000);
   EXPECT_EQ(oracle.events, ladder.events);
   EXPECT_EQ(oracle.hash, ladder.hash);
-}
-
-TEST(StormReplay, ZoneShardedParallelMatchesSequential) {
-  ThreadPool pool;
-  const StormResult seq = run_sharded(4, 500, nullptr);
-  const StormResult par = run_sharded(4, 500, &pool);
-  EXPECT_EQ(seq.events, par.events);
-  EXPECT_EQ(seq.hash, par.hash);
 }
 
 TEST(StormReplay, ReplayIsStableAcrossRepeatedRuns) {

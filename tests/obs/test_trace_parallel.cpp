@@ -1,11 +1,12 @@
-// Trace determinism under zone-sharded parallel execution.
+// Trace determinism under concurrent appends.
 //
 // The recorder's append order is whatever cross-thread interleaving the
 // host scheduler produced, so insertion-order export is not reproducible
 // for a parallel run.  The canonical export orders events by content
-// instead — these tests pin that a ZonedSimulation campaign recorded
-// from worker threads exports byte-identical canonical JSON whether it
-// ran sequentially or in parallel, and across repeated parallel runs.
+// instead — these tests pin that independent per-shard simulations
+// recording into one recorder from ThreadPool workers export
+// byte-identical canonical JSON whether they ran sequentially or in
+// parallel, and across repeated parallel runs.
 // TraceIndex builds from a content order too, so the profiler pipeline
 // inherits the same guarantee; the suite carries the tsan-smoke label so
 // a -DRESHAPE_SANITIZE=thread build sweeps the concurrent record path.
@@ -27,7 +28,7 @@
 #include "common/units.hpp"
 #include "obs/profile/trace_index.hpp"
 #include "obs/trace.hpp"
-#include "sim/zoned.hpp"
+#include "sim/simulation.hpp"
 
 namespace reshape::obs {
 namespace {
@@ -70,6 +71,40 @@ struct RecordingDriver {
   }
 };
 
+/// Drains independent shard simulations one after another, or as one
+/// ThreadPool task per shard when `pool` is given.
+void run_shards(const std::vector<std::unique_ptr<sim::Simulation>>& shards,
+                ThreadPool* pool) {
+  if (pool != nullptr) {
+    pool->parallel_for(shards.size(),
+                       [&shards](std::size_t i) { shards[i]->run(); });
+  } else {
+    for (const auto& shard : shards) shard->run();
+  }
+}
+
+/// One recording churn driver per shard, eight chains each.
+std::vector<std::unique_ptr<RecordingDriver>> seed_drivers(
+    const std::vector<std::unique_ptr<sim::Simulation>>& shards,
+    TraceRecorder& rec, std::uint64_t seed, std::uint64_t per_shard) {
+  std::vector<std::unique_ptr<RecordingDriver>> drivers;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    drivers.push_back(std::make_unique<RecordingDriver>(RecordingDriver{
+        *shards[i], rec, static_cast<std::uint32_t>(i), seed + i,
+        per_shard}));
+    for (int j = 0; j < 8; ++j) drivers.back()->spawn();
+  }
+  return drivers;
+}
+
+std::vector<std::unique_ptr<sim::Simulation>> make_shards(std::size_t n) {
+  std::vector<std::unique_ptr<sim::Simulation>> shards;
+  for (std::size_t i = 0; i < n; ++i) {
+    shards.push_back(std::make_unique<sim::Simulation>());
+  }
+  return shards;
+}
+
 struct Recorded {
   std::string canonical_json;
   std::size_t events = 0;
@@ -78,19 +113,9 @@ struct Recorded {
 Recorded run_campaign(std::size_t shards, std::uint64_t per_shard,
                       ThreadPool* pool) {
   TraceRecorder rec;
-  sim::ZonedSimulation zoned(shards);
-  std::vector<std::unique_ptr<RecordingDriver>> drivers;
-  for (std::size_t i = 0; i < shards; ++i) {
-    drivers.push_back(std::make_unique<RecordingDriver>(RecordingDriver{
-        zoned.shard(i), rec, static_cast<std::uint32_t>(i), 1000 + i,
-        per_shard}));
-    for (int j = 0; j < 8; ++j) drivers.back()->spawn();
-  }
-  if (pool != nullptr) {
-    zoned.run_parallel(*pool);
-  } else {
-    zoned.run_sequential();
-  }
+  const auto sims = make_shards(shards);
+  const auto drivers = seed_drivers(sims, rec, 1000, per_shard);
+  run_shards(sims, pool);
   return Recorded{rec.to_chrome_json(/*canonical=*/true),
                   rec.event_count()};
 }
@@ -118,19 +143,9 @@ TEST(TraceParallelTest, IndexIsIdenticalAcrossInterleavings) {
   ThreadPool pool;
   const auto index_of = [](ThreadPool* p) {
     TraceRecorder rec;
-    sim::ZonedSimulation zoned(4);
-    std::vector<std::unique_ptr<RecordingDriver>> drivers;
-    for (std::size_t i = 0; i < 4; ++i) {
-      drivers.push_back(std::make_unique<RecordingDriver>(RecordingDriver{
-          zoned.shard(i), rec, static_cast<std::uint32_t>(i), 7 + i,
-          2000}));
-      for (int j = 0; j < 8; ++j) drivers.back()->spawn();
-    }
-    if (p != nullptr) {
-      zoned.run_parallel(*p);
-    } else {
-      zoned.run_sequential();
-    }
+    const auto sims = make_shards(4);
+    const auto drivers = seed_drivers(sims, rec, 7, 2000);
+    run_shards(sims, p);
     return profile::TraceIndex::from_recorder(rec);
   };
   const profile::TraceIndex seq = index_of(nullptr);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "corpus/distribution.hpp"
-#include "provision/dynamic.hpp"
+#include "obs/recorder.hpp"
+#include "obs/trace.hpp"
 
 namespace reshape::provision {
 namespace {
@@ -327,40 +329,192 @@ TEST(ElasticCampaign, OvershootPolicyAcquiresPastTheBudget) {
   }
 }
 
-// --- wiring through the dynamic rescheduler --------------------------------
+// --- §3.1 checkpoint monitoring --------------------------------------------
+//
+// `reshape_cli --dynamic` runs the controller with default knobs and the
+// epoch set to a checkpoint interval (deadline / 6).  These cases pin that
+// configuration on a 200 MB POS plan with a 1 h deadline.
 
-TEST(DynamicElastic, EpochsOneRunsTheLegacyRescheduler) {
-  sim::Simulation sim;
-  cloud::CloudProvider provider(sim, Rng(5), fast_config());
-  const corpus::Corpus data = data_40mb();
-  const ExecutionPlan plan = slack_plan(data);
-  Rng noise(3);
-  ReschedulingOptions options;  // epochs = 1
-  const DynamicReport report = execute_with_rescheduling(
-      provider, plan, cloud::pos_profile(), options, noise);
-  EXPECT_FALSE(report.elastic);
-  EXPECT_TRUE(report.campaign.epochs.empty());
-  EXPECT_EQ(report.execution.instance_count(), plan.instance_count());
+corpus::Corpus data_200mb() {
+  Rng rng(1);
+  corpus::Corpus all =
+      corpus::Corpus::generate(corpus::text_400k_sizes(), 60'000, rng);
+  return all.take_volume(200_MB);
 }
 
-TEST(DynamicElastic, MultipleEpochsDelegateToTheController) {
+ExecutionPlan hour_plan(const corpus::Corpus& data) {
+  const StaticPlanner planner(eq3_predictor());
+  PlanOptions options;
+  options.deadline = 1_h;
+  options.strategy = PackingStrategy::kUniform;
+  return planner.plan(data, options);
+}
+
+ElasticOptions checkpoint_options(const ExecutionPlan& plan) {
+  ElasticOptions elastic;
+  elastic.epoch = plan.deadline / 6.0;
+  return elastic;
+}
+
+cloud::ProviderConfig half_slow_config() {
+  cloud::ProviderConfig config;
+  config.mixture.p_fast = 0.5;
+  config.mixture.p_slow = 0.5;
+  return config;
+}
+
+TEST(DynamicExecution, CompletesEveryAssignment) {
+  const ExecutionPlan plan = hour_plan(data_200mb());
+  const CampaignReport report = run_elastic(
+      cloud::ProviderConfig{}, plan, checkpoint_options(plan), 31, 1);
+  ASSERT_EQ(report.execution.instance_count(), plan.instance_count());
+  for (const InstanceOutcome& o : report.execution.outcomes) {
+    EXPECT_TRUE(o.completed);
+    EXPECT_GT(o.work_time.value(), 0.0);
+  }
+}
+
+TEST(DynamicExecution, ReplacesSlowInstances) {
+  const ExecutionPlan plan = hour_plan(data_200mb());
+  const CampaignReport report = run_elastic(
+      half_slow_config(), plan, checkpoint_options(plan), 31, 2);
+  EXPECT_GE(report.stragglers_flagged, 1u);
+  EXPECT_GE(report.hedges_launched, 1u);
+  EXPECT_GE(report.speculative_wins, 1u);
+  EXPECT_EQ(report.speculative_wins + report.speculative_losses,
+            report.hedges_launched);
+}
+
+TEST(DynamicExecution, BeatsStaticOnSlowFleet) {
+  const ExecutionPlan plan = hour_plan(data_200mb());
+
   sim::Simulation sim;
-  cloud::CloudProvider provider(sim, Rng(5), fast_config());
-  const corpus::Corpus data = data_40mb();
-  const ExecutionPlan plan = slack_plan(data);
-  Rng noise(3);
-  ReschedulingOptions options;
-  options.epochs = 6;  // epoch period = deadline / 6 = 600 s
-  const DynamicReport report = execute_with_rescheduling(
-      provider, plan, cloud::pos_profile(), options, noise);
-  EXPECT_TRUE(report.elastic);
-  EXPECT_TRUE(report.replacements.empty());
-  EXPECT_EQ(report.execution.instance_count(), plan.instance_count());
-  EXPECT_GE(report.campaign.replans, 1u);
-  // The executor-shaped view mirrors the campaign's.
+  cloud::CloudProvider provider(sim, Rng(31), half_slow_config());
+  Rng noise(2);
+  const ExecutionReport static_report = execute_plan(
+      provider, plan, cloud::pos_profile(), ExecutionOptions{}, noise);
+
+  const CampaignReport dynamic = run_elastic(
+      half_slow_config(), plan, checkpoint_options(plan), 31, 2);
+  EXPECT_LT(dynamic.execution.makespan.value(),
+            static_report.makespan.value());
+  EXPECT_LE(dynamic.execution.late_units(), static_report.late_units());
+}
+
+TEST(DynamicExecution, NoReplacementsOnUniformFastFleet) {
+  const ExecutionPlan plan = hour_plan(data_200mb());
+  const CampaignReport report =
+      run_elastic(fast_config(), plan, checkpoint_options(plan), 5, 3);
+  EXPECT_EQ(report.stragglers_flagged, 0u);
+  EXPECT_EQ(report.hedges_launched, 0u);
+  EXPECT_EQ(report.execution.late_units(), 0u);
+}
+
+TEST(DynamicFaults, SurvivesCrashesAroundTheCheckpoint) {
+  // A high crash rate lands failures before, at and after the first
+  // epoch boundary across the fleet; the acquisition budget replaces them.
+  // Widening (not shedding) keeps every unit in play past the deadline.
+  const ExecutionPlan plan = hour_plan(data_200mb());
+  ElasticOptions elastic = checkpoint_options(plan);
+  elastic.degrade = DegradePolicy::kWidenMergeUnits;
+  const CampaignReport report =
+      run_elastic(crashy_config(3.0), plan, elastic, 31, 1);
+  ASSERT_GE(report.execution.failures, 1u)
+      << "seed no longer injects a crash; pick another seed";
+  EXPECT_EQ(report.execution.abandoned, 0u);
+  EXPECT_GE(report.acquisitions, 1u);
+  EXPECT_GT(report.execution.recovery_time.value(), 0.0);
+  for (const InstanceOutcome& o : report.execution.outcomes) {
+    EXPECT_TRUE(o.completed);
+    EXPECT_GT(o.work_time.value(), 0.0);
+  }
+}
+
+TEST(DynamicFaults, ExhaustedRelaunchBudgetAbandonsCleanly) {
+  // Crashes every few simulated minutes and no budget to replace them;
+  // widening never sheds, so the stranded units are abandoned.
+  const ExecutionPlan plan = hour_plan(data_200mb());
+  ElasticOptions elastic = checkpoint_options(plan);
+  elastic.acquisition_budget = 0;
+  elastic.degrade = DegradePolicy::kWidenMergeUnits;
+  const CampaignReport report =
+      run_elastic(crashy_config(40.0), plan, elastic, 31, 1);
+  ASSERT_GT(report.execution.abandoned, 0u);
+  for (const InstanceOutcome& o : report.execution.outcomes) {
+    if (!o.completed) {
+      EXPECT_FALSE(o.error.empty());
+      EXPECT_FALSE(o.met_deadline);
+    }
+  }
+}
+
+TEST(DynamicFaults, CrashyRunsReplayBitIdentically) {
+  const ExecutionPlan plan = hour_plan(data_200mb());
+  const CampaignReport a =
+      run_elastic(crashy_config(3.0), plan, checkpoint_options(plan), 31, 1);
+  const CampaignReport b =
+      run_elastic(crashy_config(3.0), plan, checkpoint_options(plan), 31, 1);
+  EXPECT_EQ(a.execution.failures, b.execution.failures);
+  EXPECT_EQ(a.acquisitions, b.acquisitions);
+  EXPECT_EQ(a.execution.abandoned, b.execution.abandoned);
+  EXPECT_DOUBLE_EQ(a.execution.makespan.value(), b.execution.makespan.value());
+  ASSERT_EQ(a.execution.outcomes.size(), b.execution.outcomes.size());
+  for (std::size_t i = 0; i < a.execution.outcomes.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.execution.outcomes[i].work_time.value(),
+                     b.execution.outcomes[i].work_time.value());
+    EXPECT_EQ(a.execution.outcomes[i].failures,
+              b.execution.outcomes[i].failures);
+  }
+}
+
+TEST(DynamicFaults, ZeroFaultModelKeepsCountersZeroAndBehaviourIdentical) {
+  const ExecutionPlan plan = hour_plan(data_200mb());
+  const CampaignReport report =
+      run_elastic(fast_config(), plan, checkpoint_options(plan), 5, 3);
+  EXPECT_EQ(report.execution.failures, 0u);
+  EXPECT_EQ(report.acquisitions, 0u);
+  EXPECT_EQ(report.execution.abandoned, 0u);
+  EXPECT_DOUBLE_EQ(report.execution.recovery_time.value(), 0.0);
+  const CampaignReport again =
+      run_elastic(fast_config(), plan, checkpoint_options(plan), 5, 3);
   EXPECT_DOUBLE_EQ(report.execution.makespan.value(),
-                   report.campaign.execution.makespan.value());
-  EXPECT_EQ(report.execution.missed, report.campaign.execution.missed);
+                   again.execution.makespan.value());
+}
+
+TEST(ElasticCampaign, HedgeWonWorkTimeSpansFromTheFirstAttempt) {
+  // A hedge starts epochs after the unit's first attempt; the unit's work
+  // time must cover that whole span, not just the hedge's own run.  The
+  // attempt spans in the flight recorder give both ends.
+  if (!obs::compiled_in()) GTEST_SKIP() << "recording sites compiled out";
+  const ExecutionPlan plan = hour_plan(data_200mb());
+  obs::reset();
+  obs::set_enabled(true);
+  const CampaignReport report = run_elastic(
+      half_slow_config(), plan, checkpoint_options(plan), 31, 2);
+  obs::set_enabled(false);
+  ASSERT_GE(report.speculative_wins, 1u)
+      << "seed no longer lets a hedge win; pick another seed";
+
+  std::map<std::uint32_t, std::int64_t> first_start_us;
+  std::map<std::uint32_t, std::int64_t> hedge_win_end_us;
+  for (const obs::TraceEvent& e : obs::trace().snapshot()) {
+    if (e.ph != 'X' || e.pid != obs::kPidExecutor ||
+        e.name.rfind("attempt", 0) != 0) {
+      continue;
+    }
+    const auto [it, fresh] = first_start_us.try_emplace(e.tid, e.ts_us);
+    if (!fresh) it->second = std::min(it->second, e.ts_us);
+    if (e.name == "attempt#hedge") hedge_win_end_us[e.tid] = e.ts_us + e.dur_us;
+  }
+  obs::reset();
+  ASSERT_EQ(hedge_win_end_us.size(), report.speculative_wins);
+  for (const auto& [unit, end_us] : hedge_win_end_us) {
+    const InstanceOutcome& o = report.execution.outcomes.at(unit);
+    const double wall_s =
+        static_cast<double>(end_us - first_start_us.at(unit)) * 1e-6;
+    // Trace stamps are rounded to whole microseconds.
+    EXPECT_GE(o.work_time.value(), wall_s - 2e-6) << "unit " << unit;
+  }
 }
 
 }  // namespace
