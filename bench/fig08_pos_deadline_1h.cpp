@@ -21,7 +21,8 @@ int main() {
   std::printf("Eq. (4) analogue: %s\n", exp.eq4.affine().str().c_str());
   std::printf("relative residuals: mean %.3f, stddev %.3f -> a(10%%) = %.3f\n\n",
               exp.residuals.mean, exp.residuals.stddev,
-              model::adjustment_factor(exp.residuals, 0.10));
+              model::adjustment_factor(exp.residuals,
+                                        provision::kMissProbability));
 
   const Seconds deadline(3600.0);
   run_panel("(a)", exp, exp.eq3, deadline,

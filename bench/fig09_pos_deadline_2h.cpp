@@ -19,7 +19,8 @@ int main() {
   std::printf("Eq. (4) analogue: %s\n", exp.eq4.affine().str().c_str());
   const Seconds deadline(7200.0);
   std::printf("adjusted deadline: %s\n\n",
-              model::adjusted_deadline(deadline, exp.residuals, 0.10)
+              model::adjusted_deadline(deadline, exp.residuals,
+                                      provision::kMissProbability)
                   .str()
                   .c_str());
 

@@ -1,8 +1,8 @@
 // Event-engine microbenchmark — the perf trajectory tracker for the
 // simulator core (DESIGN.md "Event engine").
 //
-// Two workloads, each checked for byte-identical behaviour before any
-// timing, so a speedup can never come from an ordering change:
+// One workload, checked for byte-identical behaviour before any timing,
+// so a speedup can never come from an ordering change:
 //
 //   churn        1M-event self-scheduling churn with O(1) cancels: the
 //                slab/ladder engine vs the retained seed engine
@@ -10,11 +10,11 @@
 //                entries on a binary heap with lazy-cancel sets).  Fire
 //                logs are FNV-fingerprinted (id, timestamp, cancel
 //                outcomes) and must match exactly.
-//   fault_storm  a seeded instance-lifecycle campaign on CloudProvider
-//                (boot failures, crashes, spot interruptions, guarded
-//                terminates) replayed on Engine::kLadder vs the
-//                Engine::kReferenceHeap ordering oracle; fleet state,
-//                billing and clock are fingerprinted and must match.
+//
+// A seeded fault storm on CloudProvider (boot failures, crashes, spot
+// interruptions, guarded terminates) is kept untimed as the --trace
+// workload; its recorded fingerprint is pinned by
+// tests/cloud/test_storm_replay.cpp.
 //
 // Modes:
 //   micro_sim           full sweep, writes BENCH_sim.json
@@ -32,7 +32,6 @@
 //                       instance lifecycle spans (needs RESHAPE_OBS=ON).
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -57,8 +56,6 @@ using benchutil::Churn;
 using benchutil::ChurnOut;
 using benchutil::churn_ladder;
 using benchutil::churn_reference;
-using benchutil::fnv;
-using benchutil::kFnvOffset;
 using benchutil::splitmix;
 
 // Recorded churn ratio (ladder/slab engine vs seed engine, events/sec,
@@ -86,15 +83,8 @@ double time_best_of(int reps, F&& fn) {
 // ---------------------------------------------------------- fault storm
 // A seeded lifecycle campaign: staggered launches under an aggressive
 // fault model, each surviving boot scheduling its own guarded terminate.
-// The fingerprint folds in every instance's final state, the billing
-// totals, the failure count and the final clock.
-struct StormOut {
-  std::uint64_t hash = 0;
-  std::size_t events = 0;
-};
-
-StormOut run_storm(sim::Simulation::Engine engine, std::uint64_t fleet) {
-  sim::Simulation sim(engine);
+void run_storm(std::uint64_t fleet) {
+  sim::Simulation sim;
   cloud::ProviderConfig cfg;
   cfg.faults.p_boot_failure = 0.06;
   cfg.faults.crash_rate_per_hour = 0.35;
@@ -124,22 +114,7 @@ StormOut run_storm(sim::Simulation::Engine engine, std::uint64_t fleet) {
       (void)s;
     });
   }
-  StormOut out;
-  out.events = sim.run();
-  std::uint64_t h = kFnvOffset;
-  for (std::uint64_t id = 1; id <= provider.launches(); ++id) {
-    const cloud::Instance& inst = provider.instance(cloud::InstanceId{id});
-    h = fnv(h, static_cast<std::uint64_t>(inst.state()));
-    h = fnv(h, std::bit_cast<std::uint64_t>(
-                   provider.billing()
-                       .running_time(cloud::InstanceId{id}, sim.now())
-                       .value()));
-  }
-  h = fnv(h, provider.failure_count());
-  h = fnv(h, provider.billing().billed_instances());
-  h = fnv(h, std::bit_cast<std::uint64_t>(sim.now().value()));
-  out.hash = h;
-  return out;
+  sim.run();
 }
 
 struct Row {
@@ -214,32 +189,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Fault storm: ladder vs the in-kernel reference-heap ordering oracle.
-  {
-    const std::uint64_t fleet = 20000;
-    const StormOut oracle =
-        run_storm(sim::Simulation::Engine::kReferenceHeap, fleet);
-    const StormOut neu = run_storm(sim::Simulation::Engine::kLadder, fleet);
-    if (oracle.hash != neu.hash || oracle.events != neu.events) {
-      std::fprintf(stderr,
-                   "FATAL: fault storm diverged between engines "
-                   "(%016llx/%zu vs %016llx/%zu)\n",
-                   static_cast<unsigned long long>(oracle.hash),
-                   oracle.events, static_cast<unsigned long long>(neu.hash),
-                   neu.events);
-      all_identical = false;
-    } else {
-      const double t_ref = time_best_of(reps, [&] {
-        (void)run_storm(sim::Simulation::Engine::kReferenceHeap, fleet);
-      });
-      const double t_new = time_best_of(reps, [&] {
-        (void)run_storm(sim::Simulation::Engine::kLadder, fleet);
-      });
-      rows.push_back(Row{"fault_storm", oracle.events, t_ref, t_new});
-      print_row(rows.back());
-    }
-  }
-
   // --------------------------------------------------------------- JSON
   FILE* out = std::fopen("BENCH_sim.json", "w");
   if (out != nullptr) {
@@ -280,7 +229,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty()) {
       // The churn records only counters; the fault storm exercises the
       // instance lifecycle spans the trace is for.
-      (void)run_storm(sim::Simulation::Engine::kLadder, 2000);
+      run_storm(2000);
     }
     obs::set_enabled(false);
     if (!metrics_path.empty()) {

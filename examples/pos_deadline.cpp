@@ -107,6 +107,6 @@ int main() {
   std::printf(
       "note: uniform bins fix first-fit's overloaded early bins; the\n"
       "adjusted deadline (D / (1 + %.3f)) buys ~90%% on-time confidence.\n",
-      model::adjustment_factor(residuals, 0.10));
+      model::adjustment_factor(residuals, provision::kMissProbability));
   return 0;
 }

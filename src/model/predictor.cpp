@@ -40,9 +40,8 @@ Rate ThroughputBank::mean_throughput() const {
   return Rate(bytes / seconds);
 }
 
-Predictor ThroughputBank::fitted(const Predictor& prior,
-                                 std::size_t min_observations) const {
-  if (volumes_.size() < min_observations) return prior;
+Predictor ThroughputBank::fitted(const Predictor& prior) const {
+  if (volumes_.size() < kMinObservations) return prior;
   const auto [lo, hi] = std::minmax_element(volumes_.begin(), volumes_.end());
   // With no volume spread OLS can't separate intercept from slope; keep
   // the prior's fixed cost and re-derive only the per-byte rate from the

@@ -47,6 +47,10 @@ class Predictor {
 /// caller's prior predictor stands.
 class ThroughputBank {
  public:
+  /// The evidence floor: observations banked before a refit may replace
+  /// the prior, for the elastic controller and the server's model store.
+  static constexpr std::size_t kMinObservations = 3;
+
   /// Banks one completed attempt.  Non-positive volumes or times are
   /// ignored (a zero-byte recovery remainder carries no signal).
   void observe(Bytes volume, Seconds elapsed);
@@ -65,13 +69,12 @@ class ThroughputBank {
   [[nodiscard]] Rate mean_throughput() const;
 
   /// The refreshed predictor: an affine refit of the banked observations
-  /// once at least `min_observations` with meaningful volume spread exist
+  /// once at least kMinObservations with meaningful volume spread exist
   /// and the refit is sane (positive slope); otherwise `prior` is
   /// returned unchanged.  When the refit lacks spread (all attempts the
   /// same size), the slope falls back to the pooled per-byte rate around
   /// the prior's intercept, which still tracks fleet-wide slowdowns.
-  [[nodiscard]] Predictor fitted(const Predictor& prior,
-                                 std::size_t min_observations = 3) const;
+  [[nodiscard]] Predictor fitted(const Predictor& prior) const;
 
  private:
   std::vector<double> volumes_;

@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "provision/straggler.hpp"
 
 namespace reshape::provision {
 
@@ -40,6 +41,14 @@ double CampaignReport::deadline_hit_rate() const {
 namespace {
 
 constexpr std::size_t kNoUnit = std::numeric_limits<std::size_t>::max();
+
+/// Fleet ceiling (live members), counting the initial fleet.
+constexpr std::size_t kMaxFleet = 64;
+/// This many member failures in one zone within one epoch mark the zone
+/// suspect (an AZ-outage fault does so at once).
+constexpr std::size_t kAzEpisodeThreshold = 2;
+/// kOvershootCost stops acquiring at this multiple of the predicted cost.
+constexpr double kOvershootCostCap = 2.0;
 
 /// One work unit (a plan assignment).  Its bytes live on a persistent EBS
 /// volume in `volume_zone`; a cross-AZ move re-stages the remainder onto
@@ -132,8 +141,6 @@ class ElasticController {
                     const ExecutionOptions& base,
                     const ElasticOptions& options, Rng& noise)
       : provider_(provider), plan_(plan), base_(base), options_(options),
-        detector_(options.straggler),
-        prior_predictor_(options.planning_prior),
         backoff_rng_(noise.split("controller-backoff")) {
     units_.reserve(plan.assignments.size());
     for (std::size_t i = 0; i < plan.assignments.size(); ++i) {
@@ -155,7 +162,7 @@ class ElasticController {
         [this](cloud::Instance& inst) { on_failure(inst); });
     try {
       for (std::size_t i = 0; i < units_.size(); ++i) {
-        launch_member(i, base_.zone, /*speculative=*/false,
+        launch_member(i, kPrimaryZone, /*speculative=*/false,
                       /*charge_budget=*/false);
       }
       epoch_event_ = provider_.sim().schedule_in(
@@ -213,10 +220,10 @@ class ElasticController {
   /// Whether one more launch fits the acquisition budget.  Under
   /// kOvershootCost the hard budget is replaced by the cost cap.
   [[nodiscard]] bool can_acquire() {
-    if (live_members() >= options_.max_fleet) return false;
+    if (live_members() >= kMaxFleet) return false;
     if (options_.degrade == DegradePolicy::kOvershootCost) {
       const double cap =
-          plan_.predicted_cost.amount() * options_.overshoot_cost_cap;
+          plan_.predicted_cost.amount() * kOvershootCostCap;
       if (plan_.predicted_cost.amount() > 0.0 &&
           provider_.billing().total_cost(provider_.sim().now()).amount() >=
               cap) {
@@ -228,17 +235,14 @@ class ElasticController {
                                std::max(0, options_.acquisition_budget));
   }
 
-  /// Zones new capacity may go to, primary first.
-  [[nodiscard]] std::vector<cloud::AvailabilityZone> zone_candidates() const {
-    std::vector<cloud::AvailabilityZone> zones{base_.zone};
-    if (!options_.fallback_zones.empty()) {
-      for (const auto& z : options_.fallback_zones) zones.push_back(z);
-    } else {
-      for (std::uint8_t step = 1; step < 4; ++step) {
-        zones.push_back(cloud::AvailabilityZone{
-            base_.zone.region,
-            static_cast<std::uint8_t>((base_.zone.index + step) % 4)});
-      }
+  /// Zones new capacity may go to: the primary first, then the other
+  /// indexes of its region as fallbacks.
+  [[nodiscard]] static std::vector<cloud::AvailabilityZone> zone_candidates() {
+    std::vector<cloud::AvailabilityZone> zones{kPrimaryZone};
+    for (std::uint8_t step = 1; step < 4; ++step) {
+      zones.push_back(cloud::AvailabilityZone{
+          kPrimaryZone.region,
+          static_cast<std::uint8_t>((kPrimaryZone.index + step) % 4)});
     }
     return zones;
   }
@@ -267,8 +271,8 @@ class ElasticController {
     for (const auto& z : zones) {
       if (!suspect(z)) healthy.push_back(z);
     }
-    if (healthy.empty()) return base_.zone;  // nowhere better to go
-    if (healthy.front() == base_.zone) return base_.zone;
+    if (healthy.empty()) return kPrimaryZone;  // nowhere better to go
+    if (healthy.front() == kPrimaryZone) return kPrimaryZone;
     const cloud::AvailabilityZone pick =
         healthy[zone_rr_ % healthy.size()];
     ++zone_rr_;
@@ -299,7 +303,7 @@ class ElasticController {
       m_acquisitions_.add(1);
     }
     member.id = provider_.launch(
-        base_.instance_type, zone,
+        kInstanceType, zone,
         [this, slot = member.slot](cloud::Instance& instance) {
           Member& m = *members_[slot];
           if (m.id != instance.id()) return;  // a superseded boot
@@ -692,7 +696,7 @@ class ElasticController {
   void retry_boot(Member& member) {
     const std::size_t assigned = member.assigned;
     ++member.boot_attempts;
-    if (member.boot_attempts >= options_.acquisition_retry.max_attempts ||
+    if (member.boot_attempts >= acquisition_retry_.max_attempts ||
         !can_acquire()) {
       member.state = Member::State::kGone;
       if (assigned != kNoUnit && !resolved(*units_[assigned])) {
@@ -710,7 +714,7 @@ class ElasticController {
       maybe_finish();
       return;
     }
-    const Seconds backoff = options_.acquisition_retry.jittered_backoff(
+    const Seconds backoff = acquisition_retry_.jittered_backoff(
         member.boot_attempts - 1, backoff_rng_);
     provider_.sim().schedule_in(
         backoff, [this, slot = member.slot](sim::Simulation&) {
@@ -733,12 +737,11 @@ class ElasticController {
     }
     for (auto& [z, count] : zone_failures_) {
       if (z == zone) {
-        if (++count >= options_.az_episode_threshold) mark_suspect(zone);
+        if (++count >= kAzEpisodeThreshold) mark_suspect(zone);
         return;
       }
     }
     zone_failures_.emplace_back(zone, 1);
-    if (options_.az_episode_threshold <= 1) mark_suspect(zone);
   }
 
   // -- the epoch loop -------------------------------------------------------
@@ -877,9 +880,8 @@ class ElasticController {
     }
 
     // (b) Refresh the cost model from the campaign's own evidence.
-    model::Predictor predictor =
-        bank_.fitted(prior_predictor_, options_.predictor_min_observations);
-    decision.refit = bank_.count() >= options_.predictor_min_observations;
+    model::Predictor predictor = bank_.fitted(prior_predictor_);
+    decision.refit = bank_.count() >= model::ThroughputBank::kMinObservations;
 
     const Bytes backlog = pending_bytes();
     decision.bytes_remaining = backlog;
@@ -904,21 +906,17 @@ class ElasticController {
     const Bytes fresh_capacity = slack.value() > 0.0
                                      ? predictor.max_volume_within(slack)
                                      : Bytes(0);
-    if (options_.replan) {
-      ++replans_;
-      m_replans_.add(1);
-      decision.replanned = true;
-      if (backlog.count() > 0) {
-        Bytes serveable = fleet_serveable(predictor, fresh_capacity);
-        while (backlog.count() > serveable.count() &&
-               fresh_capacity.count() > 0 && can_acquire()) {
-          launch_member(kNoUnit, pick_zone(), /*speculative=*/false,
-                        /*charge_budget=*/true);
-          serveable += fresh_capacity;
-          ++decision.acquired;
-        }
-        infeasible = backlog.count() > serveable.count();
+    m_replans_.add(1);
+    if (backlog.count() > 0) {
+      Bytes serveable = fleet_serveable(predictor, fresh_capacity);
+      while (backlog.count() > serveable.count() &&
+             fresh_capacity.count() > 0 && can_acquire()) {
+        launch_member(kNoUnit, pick_zone(), /*speculative=*/false,
+                      /*charge_budget=*/true);
+        serveable += fresh_capacity;
+        ++decision.acquired;
       }
+      infeasible = backlog.count() > serveable.count();
     }
 
     // (c) Degrade when the deadline is out of reach at full budget.
@@ -1095,7 +1093,7 @@ class ElasticController {
         provider_.billing().total_cost(provider_.sim().now());
 
     report.epochs = std::move(epochs_);
-    report.replans = replans_;
+    report.replans = report.epochs.size();
     report.stragglers_flagged = stragglers_flagged_;
     report.hedges_launched = hedges_launched_;
     report.speculative_wins = speculative_wins_;
@@ -1119,7 +1117,12 @@ class ElasticController {
   const ElasticOptions& options_;
   StragglerDetector detector_;
   model::ThroughputBank bank_;
-  model::Predictor prior_predictor_;
+  /// The planning prior until the bank can refit: a pure rate model at
+  /// the executor's nominal rate.
+  const model::Predictor prior_predictor_{
+      model::AffineFit{0.0, 1.0 / kNominalRate.bytes_per_second(), {}}};
+  /// Backoff schedule for boot-failure retries.
+  const RetryPolicy acquisition_retry_ = RetryPolicy::for_acquisition();
   Rng backoff_rng_;
 
   std::vector<std::unique_ptr<Unit>> units_;
@@ -1137,7 +1140,6 @@ class ElasticController {
   bool finishing_ = false;
 
   std::vector<EpochDecision> epochs_;
-  std::size_t replans_ = 0;
   std::size_t stragglers_flagged_ = 0;
   std::size_t hedges_launched_ = 0;
   std::size_t speculative_wins_ = 0;

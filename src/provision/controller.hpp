@@ -26,6 +26,9 @@
 //       pending units, widen the merge unit, or overshoot the cost cap —
 //       and reports exactly what was shed.
 //
+// ElasticOptions holds only the policies callers choose; every threshold
+// is a named constant in controller.cpp or straggler.cpp.
+//
 // Determinism contract: the controller makes no draws of its own beyond
 // named child streams of the caller's noise Rng and the provider's
 // seeded streams, so a campaign with a given (seed, options) replays
@@ -43,9 +46,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "model/predictor.hpp"
 #include "provision/executor.hpp"
-#include "provision/straggler.hpp"
 
 namespace reshape::provision {
 
@@ -58,7 +59,7 @@ enum class DegradePolicy {
   /// dropping work: everything completes, later and coarser.
   kWidenMergeUnits,
   /// Keep acquiring past the budget until the projected spend reaches
-  /// `overshoot_cost_cap` times the plan's predicted cost.
+  /// twice the plan's predicted cost.
   kOvershootCost,
 };
 
@@ -68,35 +69,12 @@ struct ElasticOptions {
   /// Epoch period.  Reports, flags, refits, re-plans and degradation all
   /// happen on these boundaries.
   Seconds epoch{300.0};
-  /// Straggler estimator knobs (provision/straggler).
-  StragglerOptions straggler{};
   /// Hedge flagged slots with a speculative duplicate attempt.
   bool hedge_stragglers = true;
-  /// Re-run the capacity calculation each epoch.  Off, the controller
-  /// only replaces failures — the behaviour of the static fleet.
-  bool replan = true;
   /// Launches allowed beyond the initial fleet (replacements, hedges and
   /// growth all draw from this one budget).
   int acquisition_budget = 16;
-  /// Fleet ceiling (live members), counting the initial fleet.
-  std::size_t max_fleet = 64;
-  /// Backoff schedule for boot-failure retries.
-  RetryPolicy acquisition_retry = RetryPolicy::for_acquisition();
-  /// This many member failures in one zone within one epoch marks the
-  /// zone suspect (an AZ-outage fault does so immediately).
-  std::size_t az_episode_threshold = 2;
-  /// Zones to route new capacity to when a zone is suspect; empty means
-  /// the other indexes of the primary zone's region.
-  std::vector<cloud::AvailabilityZone> fallback_zones{};
   DegradePolicy degrade = DegradePolicy::kShedLowestValue;
-  /// kOvershootCost stops acquiring at this multiple of predicted cost.
-  double overshoot_cost_cap = 2.0;
-  /// Observations before the banked refit replaces the prior predictor.
-  std::size_t predictor_min_observations = 3;
-  /// The planning prior — normally the StaticPlanner's fitted predictor.
-  /// Stands until the throughput bank has enough evidence to refit.  The
-  /// default is the executor's nominal 20 MB/s fallback rate.
-  model::Predictor planning_prior{model::AffineFit{0.0, 1.0 / 20.0e6, {}}};
 };
 
 /// One epoch boundary's decisions, in order.
@@ -110,9 +88,8 @@ struct EpochDecision {
   std::size_t hedges_launched = 0;
   std::size_t acquired = 0;
   std::size_t released = 0;
-  bool refit = false;      // banked refit replaced the prior predictor
-  bool replanned = false;  // capacity calculation ran
-  bool degraded = false;   // degradation policy engaged this epoch
+  bool refit = false;     // banked refit replaced the prior predictor
+  bool degraded = false;  // degradation policy engaged this epoch
   std::vector<std::size_t> shed_units;  // unit indexes shed this epoch
   Bytes shed_bytes{0};
 };
@@ -125,7 +102,7 @@ struct CampaignReport {
   ExecutionReport execution;
   std::vector<EpochDecision> epochs;
 
-  std::size_t replans = 0;
+  std::size_t replans = 0;  // one capacity calculation per epoch
   std::size_t stragglers_flagged = 0;
   std::size_t hedges_launched = 0;
   std::size_t speculative_wins = 0;    // races won by the hedge
@@ -145,11 +122,10 @@ struct CampaignReport {
   [[nodiscard]] double deadline_hit_rate() const;
 };
 
-/// Runs one campaign under elastic control.  `options.base` carries the
-/// per-attempt execution knobs (instance type, primary zone, staging
-/// mode, reshaped unit); `noise` seeds the per-unit run-time jitter
-/// streams exactly as execute_plan does.  The provider's simulation is
-/// run to completion.
+/// Runs one campaign under elastic control.  `base` carries the
+/// per-attempt execution knobs (staging mode, reshaped unit); `noise`
+/// seeds the per-unit run-time jitter streams exactly as execute_plan
+/// does.  The provider's simulation is run to completion.
 [[nodiscard]] CampaignReport run_campaign(cloud::CloudProvider& provider,
                                           const ExecutionPlan& plan,
                                           const cloud::AppCostProfile& app,

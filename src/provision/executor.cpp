@@ -122,6 +122,9 @@ cloud::DataLayout layout_for_remaining(const Assignment& assignment,
 
 namespace {
 
+/// Screening rounds allowed per replacement acquisition (§4).
+constexpr int kRelaunchScreenAttempts = 5;
+
 /// Drives one plan to completion over the (possibly faulty) provider.
 class ExecutionDriver {
  public:
@@ -208,7 +211,7 @@ class ExecutionDriver {
 
   void launch_for(Slot* slot) {
     const cloud::InstanceId id = provider_.launch(
-        options_.instance_type, options_.zone,
+        kInstanceType, kPrimaryZone,
         [this, slot](cloud::Instance& instance) {
           const auto it = stations_.find(instance.id());
           if (it == stations_.end()) return;
@@ -232,9 +235,8 @@ class ExecutionDriver {
       return staging + slot.cur_exec * (slot.remaining.as_double() /
                                         slot.attempt_bytes.as_double());
     }
-    // No history yet: assume a nominal 20 MB/s effective processing rate.
-    return staging +
-           Rate::megabytes_per_second(20.0).time_for(slot.remaining);
+    // No history yet: assume the nominal effective processing rate.
+    return staging + kNominalRate.time_for(slot.remaining);
   }
 
   void begin_work(Station& station, Slot& slot) {
@@ -258,7 +260,7 @@ class ExecutionDriver {
         // Pre-staged volume, created once; replacements re-attach it.
         slot.volume = provider_.create_volume(
             std::max(slot.assignment.volume * 2, Bytes(1'000'000)),
-            options_.zone);
+            kPrimaryZone);
         slot.data_offset =
             provider_.volume(slot.volume).stage(slot.assignment.volume);
       }
@@ -289,7 +291,7 @@ class ExecutionDriver {
           std::to_string(slot.failures + slot.relaunches);
       const cloud::TransferOutcome out = cloud::transfer_with_retries(
           provider_.fault_injector(), key, options_.transfer_retry,
-          options_.verify_transfers, channel, slot.run_noise);
+          /*verify_integrity=*/true, channel, slot.run_noise);
       slot.transfer_attempts += out.attempts;
       slot.transfer_retries += out.attempts - 1;
       slot.transfer_retry_time += out.retry_overhead();
@@ -561,8 +563,8 @@ class ExecutionDriver {
       // fast instance.  Runs the simulation forward internally, so other
       // fleet events (including further failures) interleave naturally.
       const auto acq = provider_.acquire_screened(
-          options_.instance_type, options_.zone, options_.relaunch_threshold,
-          options_.relaunch_screen_attempts);
+          kInstanceType, kPrimaryZone, options_.relaunch_threshold,
+          kRelaunchScreenAttempts);
       ++slot->relaunches;
       m_relaunches_.add(1);
       auto station = std::make_unique<Station>();

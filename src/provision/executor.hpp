@@ -16,6 +16,8 @@
 // bounded; an unrecoverable assignment degrades to a structured error
 // outcome instead of aborting the run.  With the default zero FaultModel
 // reports are bit-identical to the historic failure-free executor.
+// The instance type (planner.hpp), primary zone and nominal rate are
+// constants, not options: no caller varies them.
 #pragma once
 
 #include <string>
@@ -30,9 +32,16 @@
 
 namespace reshape::provision {
 
+/// Every campaign launches its kInstanceType fleet (planner.hpp) into one
+/// primary zone; the elastic controller may move capacity out of it.
+inline constexpr cloud::AvailabilityZone kPrimaryZone{};
+
+/// Effective processing rate assumed for work with no observed history:
+/// the executor's slack estimates and the elastic controller's planning
+/// prior.
+inline constexpr Rate kNominalRate = Rate::megabytes_per_second(20.0);
+
 struct ExecutionOptions {
-  cloud::InstanceType instance_type = cloud::InstanceType::kSmall;
-  cloud::AvailabilityZone zone{};
   /// True: data pre-staged on one EBS volume per instance (grep, §5.1);
   /// false: staged to local disk in constant time (POS, §5).
   bool data_on_ebs = true;
@@ -46,7 +55,6 @@ struct ExecutionOptions {
   int max_relaunches = 3;
   /// Screening applied to replacement instances (§4 acquisition).
   Rate relaunch_threshold = Rate::megabytes_per_second(60.0);
-  int relaunch_screen_attempts = 5;
 
   /// Data-plane fault tolerance.  The retry policy governs staging and
   /// retrieval transfers when the provider's fault model injects transfer
@@ -56,10 +64,9 @@ struct ExecutionOptions {
   /// retrieval phase (download of the result objects) after execution.
   double output_ratio = 0.0;
   /// Hedge (duplicate) the retrieval transfers and keep the first winner.
+  /// Every transfer verifies block digests, turning silent corruption into
+  /// a detected, retried error.
   bool hedge_retrieval = false;
-  /// Verify block digests after each transfer, turning silent corruption
-  /// into a detected, retried error.
-  bool verify_transfers = true;
 };
 
 struct InstanceOutcome {

@@ -60,7 +60,7 @@ ExecutionPlan plan(const model::Predictor& predictor,
   plan.planning_deadline =
       options.strategy == PackingStrategy::kAdjusted
           ? model::adjusted_deadline(options.deadline, options.residuals,
-                                     options.miss_probability)
+                                     kMissProbability)
           : options.deadline;
 
   const Bytes x0 = predictor.max_volume_within(plan.planning_deadline);
@@ -105,7 +105,7 @@ ExecutionPlan plan(const model::Predictor& predictor,
     hours += std::ceil(predictor.predict(a.volume).hours());
   }
   plan.predicted_instance_hours = hours;
-  plan.predicted_cost = options.hourly_rate * hours;
+  plan.predicted_cost = cloud::spec_for(kInstanceType).hourly_rate * hours;
   return plan;
 }
 

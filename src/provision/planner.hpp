@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cloud/types.hpp"
 #include "common/units.hpp"
 #include "corpus/corpus.hpp"
 #include "model/predictor.hpp"
@@ -56,13 +57,18 @@ struct ExecutionPlan {
   [[nodiscard]] Bytes total_volume() const;
 };
 
+/// The paper's platform: plans are priced at, and executed on, m1.small.
+inline constexpr cloud::InstanceType kInstanceType =
+    cloud::InstanceType::kSmall;
+
+/// kAdjusted's target probability of a missed deadline (§5.2).
+inline constexpr double kMissProbability = 0.10;
+
 struct PlanOptions {
   Seconds deadline{3600.0};
   PackingStrategy strategy = PackingStrategy::kUniform;
-  Dollars hourly_rate{0.085};
   /// Used only by kAdjusted.
   model::RelativeResiduals residuals{};
-  double miss_probability = 0.10;
 };
 
 /// The one-shot planning function: a pure mapping from (predictor, data,

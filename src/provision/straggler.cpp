@@ -8,6 +8,13 @@ namespace reshape::provision {
 namespace {
 /// MAD-to-sigma consistency constant for the normal distribution.
 constexpr double kMadSigma = 1.4826;
+/// Flag below median - kMadK · kMadSigma · MAD ...
+constexpr double kMadK = 3.0;
+/// ... and only when also below median · (1 - kMinRelativeGap): the guard
+/// that keeps a uniformly slow (MAD ~ 0) fleet flag-free.
+constexpr double kMinRelativeGap = 0.25;
+/// Fewer live slots than this and nothing is flagged (no robust scale).
+constexpr std::size_t kMinPopulation = 3;
 }  // namespace
 
 double median(std::vector<double> xs) {
@@ -52,15 +59,15 @@ std::vector<std::uint64_t> StragglerDetector::flag(
     if (report.seq >= min_seq) live.push_back(&report);
   }
   std::vector<std::uint64_t> flagged;
-  if (live.size() < options_.min_population) return flagged;
+  if (live.size() < kMinPopulation) return flagged;
 
   std::vector<double> rates;
   rates.reserve(live.size());
   for (const ProgressReport* r : live) rates.push_back(r->rate);
   const double med = median(rates);
   const double scale = kMadSigma * mad(rates, med);
-  const double robust_bar = med - options_.mad_k * scale;
-  const double gap_bar = med * (1.0 - options_.min_relative_gap);
+  const double robust_bar = med - kMadK * scale;
+  const double gap_bar = med * (1.0 - kMinRelativeGap);
 
   // Both bars must be undercut: the robust one places the slot far outside
   // the fleet's own spread, the gap one demands the lag be material.  A

@@ -4,12 +4,13 @@
 // fleet slot and asks which slots are lagging badly enough to hedge with a
 // speculative relaunch.  The estimator is the classic robust one: a slot is
 // flagged when its normalized progress rate falls below
-// median - k · 1.4826 · MAD (the MAD scaled to the normal-consistent sigma)
-// *and* below a minimum relative gap under the median.  The second guard
-// matters for the degenerate fleets a mean/stddev detector gets wrong: a
-// fleet that is uniformly slow has MAD ~ 0 and must produce no flags (there
-// is nobody better to copy the work to), and a single fast outlier must not
-// drag the rest of the fleet under the bar.
+// median - 3 · 1.4826 · MAD (the MAD scaled to the normal-consistent sigma)
+// *and* below 0.75 · median; fewer than three live slots flag nobody.  The
+// second bar matters for the degenerate fleets a mean/stddev detector gets
+// wrong: a fleet that is uniformly slow has MAD ~ 0 and must produce no
+// flags (there is nobody better to copy the work to), and a single fast
+// outlier must not drag the rest of the fleet under the bar.  The three
+// constants are fixed in straggler.cpp; no caller tunes them.
 //
 // Reports carry an epoch sequence number; arrival out of epoch order is
 // harmless (a slot's latest-seq report wins).  Flag order is deterministic
@@ -42,23 +43,8 @@ struct ProgressReport {
 /// Median absolute deviation around `med` (unscaled).
 [[nodiscard]] double mad(std::span<const double> xs, double med);
 
-struct StragglerOptions {
-  /// Flag below median - mad_k · 1.4826 · MAD.
-  double mad_k = 3.0;
-  /// ... and only when also below median · (1 - min_relative_gap): the
-  /// guard that keeps a uniformly slow (MAD ~ 0) fleet flag-free.
-  double min_relative_gap = 0.25;
-  /// Fewer live slots than this and nothing is flagged (no robust scale).
-  std::size_t min_population = 3;
-};
-
 class StragglerDetector {
  public:
-  explicit StragglerDetector(StragglerOptions options = {})
-      : options_(options) {}
-
-  [[nodiscard]] const StragglerOptions& options() const { return options_; }
-
   /// Ingests a report.  A report whose seq is older than the slot's
   /// current one is dropped, so reports arriving out of epoch order can
   /// never roll a slot's view backwards.
@@ -79,7 +65,6 @@ class StragglerDetector {
       std::uint64_t min_seq = 0) const;
 
  private:
-  StragglerOptions options_;
   std::map<std::uint64_t, ProgressReport> latest_;  // keyed by slot
 };
 

@@ -8,9 +8,7 @@
 
 namespace reshape::serve {
 
-ShardedModelStore::ShardedModelStore(std::size_t shards,
-                                     std::size_t min_observations)
-    : min_observations_(min_observations) {
+ShardedModelStore::ShardedModelStore(std::size_t shards) {
   RESHAPE_REQUIRE(shards > 0, "store needs at least one shard");
   const std::size_t rounded = std::bit_ceil(shards);
   shards_.reserve(rounded);
@@ -91,7 +89,7 @@ std::uint64_t ShardedModelStore::observe(ModelKeyView key, Bytes volume,
   for (const auto& [v, t] : entry->observations) {
     bank.observe(Bytes(static_cast<std::uint64_t>(v)), Seconds(t));
   }
-  const model::Predictor refit = bank.fitted(entry->prior, min_observations_);
+  const model::Predictor refit = bank.fitted(entry->prior);
 
   entry->epoch += 1;
   entry->history.push_back(std::make_unique<const ModelSnapshot>(

@@ -59,11 +59,10 @@ struct ModelSnapshot {
 
 class ShardedModelStore {
  public:
-  /// `shards` is rounded up to a power of two.  `min_observations` is the
-  /// evidence floor below which ingests still bump the epoch but the
-  /// published predictor stays the prior (ThroughputBank::fitted).
-  explicit ShardedModelStore(std::size_t shards = 16,
-                             std::size_t min_observations = 3);
+  /// `shards` is rounded up to a power of two.  Below the evidence floor
+  /// (ThroughputBank::kMinObservations) ingests still bump the epoch but
+  /// the published predictor stays the prior (ThroughputBank::fitted).
+  explicit ShardedModelStore(std::size_t shards = 16);
 
   ShardedModelStore(const ShardedModelStore&) = delete;
   ShardedModelStore& operator=(const ShardedModelStore&) = delete;
@@ -91,9 +90,6 @@ class ShardedModelStore {
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] std::size_t min_observations() const {
-    return min_observations_;
-  }
 
  private:
   struct Entry {
@@ -123,7 +119,6 @@ class ShardedModelStore {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t mask_ = 0;
-  std::size_t min_observations_ = 3;
 };
 
 }  // namespace reshape::serve

@@ -11,11 +11,9 @@ std::uint64_t options_fingerprint(const provision::PlanOptions& options) {
   Digest64 d;
   d.update_u64(static_cast<std::uint64_t>(options.strategy));
   d.update_u64(std::bit_cast<std::uint64_t>(options.deadline.value()));
-  d.update_u64(std::bit_cast<std::uint64_t>(options.hourly_rate.amount()));
   d.update_u64(std::bit_cast<std::uint64_t>(options.residuals.mean));
   d.update_u64(std::bit_cast<std::uint64_t>(options.residuals.stddev));
   d.update_u64(options.residuals.count);
-  d.update_u64(std::bit_cast<std::uint64_t>(options.miss_probability));
   return d.value();
 }
 

@@ -82,8 +82,6 @@ void wall_span(std::string_view name,
 
 PlanServer::PlanServer(ServerConfig config)
     : config_(config),
-      store_(config.store_shards, config.min_observations),
-      cache_(config.cache_shards, config.cache_capacity_per_shard),
       queue_(config.queue_capacity, config.overload),
       pool_(std::make_unique<ThreadPool>(std::max<std::size_t>(
           1, config.workers))),

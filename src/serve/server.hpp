@@ -59,13 +59,9 @@ struct ServerConfig {
   /// (0 = dispatch whatever is queued, never wait).
   std::size_t max_batch = 16;
   Seconds batch_window{0.0};
-  /// Plan-result caching (epoch-validated).
+  /// Plan-result caching (epoch-validated).  The model store and the plan
+  /// cache keep their constructors' default shard counts and capacity.
   bool cache_plans = true;
-  std::size_t store_shards = 16;
-  std::size_t cache_shards = 16;
-  std::size_t cache_capacity_per_shard = 4096;
-  /// Evidence floor forwarded to the model store's refits.
-  std::size_t min_observations = 3;
 };
 
 /// Monotonic counters, readable at any time (relaxed; exact once the

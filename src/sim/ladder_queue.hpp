@@ -49,7 +49,7 @@ struct EventRef {
   }
 };
 
-/// "a fires later than b" — the comparator both engine backends share.
+/// "a fires later than b" — the order of the ladder's heap-mode buckets.
 /// seq sits above slot in `key`, so the key compare orders equal
 /// timestamps by scheduling order exactly.
 struct EventRefLater {

@@ -1,14 +1,11 @@
 #include "sim/simulation.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
 namespace reshape::sim {
-
-Simulation::Simulation(Engine engine) : engine_(engine) {}
 
 void Simulation::reserve(std::size_t events) {
   while (chunks_.size() * kChunkSize < events) {
@@ -47,13 +44,7 @@ EventHandle Simulation::arm(std::uint32_t slot, Seconds when) {
                   "event sequence space exhausted");
   s.seq = next_seq_++;
   s.live = true;
-  const EventRef ref{when.value(), s.seq, slot};
-  if (engine_ == Engine::kLadder) {
-    ladder_.push(ref);
-  } else {
-    heap_.push_back(ref);
-    std::push_heap(heap_.begin(), heap_.end(), EventRefLater{});
-  }
+  ladder_.push(EventRef{when.value(), s.seq, slot});
   ++live_;
   return EventHandle{slot, s.generation};
 }
@@ -74,38 +65,22 @@ bool Simulation::cancel(EventHandle handle) {
 
 const EventRef* Simulation::peek_live() {
   while (true) {
-    const EventRef* top = nullptr;
-    if (engine_ == Engine::kLadder) {
-      top = ladder_.peek();
-    } else if (!heap_.empty()) {
-      top = &heap_.front();
-    }
+    const EventRef* top = ladder_.peek();
     if (top == nullptr) return nullptr;
     const Slot& s = slot_ref(top->slot());
     if (s.live && s.seq == top->seq()) return top;
-    pop_top();  // stale: cancelled, or the slot moved on
-  }
-}
-
-void Simulation::pop_top() {
-  if (engine_ == Engine::kLadder) {
-    ladder_.pop_top();
-  } else {
-    std::pop_heap(heap_.begin(), heap_.end(), EventRefLater{});
-    heap_.pop_back();
+    ladder_.pop_top();  // stale: cancelled, or the slot moved on
   }
 }
 
 void Simulation::fire(EventRef top) {
-  pop_top();
+  ladder_.pop_top();
   Slot& s = slot_ref(top.slot());
   // Start pulling the next event's slot toward the cache while this
   // event's callback runs: at million-event populations the slot was
   // written long ago and the load would otherwise stall validation.
-  if (engine_ == Engine::kLadder) {
-    if (const EventRef* next = ladder_.peek_if_ready()) {
-      __builtin_prefetch(&slot_ref(next->slot()), 0, 1);
-    }
+  if (const EventRef* next = ladder_.peek_if_ready()) {
+    __builtin_prefetch(&slot_ref(next->slot()), 0, 1);
   }
   // Invalidate the slot before invoking: cancelling the firing event's
   // own handle reports false and pending() excludes it.  The chunked slab

@@ -12,11 +12,11 @@
 //     hot schedule path performs no heap allocation;
 //   * the ready structure is a two-level calendar/ladder queue (near-future
 //     buckets + far-future overflow), amortized O(1) per schedule/fire
-//     instead of the binary heap's O(log n);
-//   * Engine::kReferenceHeap swaps the ladder for a plain binary heap over
-//     the same slab — the ordering oracle the differential replay suite
-//     byte-diffs campaigns against (see also sim/simulation_reference.hpp
-//     for the retained seed engine).
+//     instead of the binary heap's O(log n).
+//
+// The retained seed engine (sim/simulation_reference.hpp) is the one
+// ordering oracle the differential replay suite byte-diffs this engine
+// against.
 #pragma once
 
 #include <cstdint>
@@ -50,18 +50,12 @@ struct EventHandle {
 
 class Simulation {
  public:
-  /// Ready-queue backend.  kLadder is the production engine; the reference
-  /// heap keeps the pre-ladder ordering structure alive as an oracle.
-  enum class Engine { kLadder, kReferenceHeap };
-
-  explicit Simulation(Engine engine = Engine::kLadder);
+  Simulation() = default;
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   using Callback = std::function<void(Simulation&)>;
-
-  [[nodiscard]] Engine engine() const { return engine_; }
 
   /// Current simulated time.
   [[nodiscard]] Seconds now() const { return now_; }
@@ -138,7 +132,7 @@ class Simulation {
 
   [[nodiscard]] std::uint32_t allocate_slot();
   void free_slot(std::uint32_t slot);
-  /// Enqueues the armed slot; the single place both backends diverge.
+  /// Enqueues the armed slot on the ladder.
   EventHandle arm(std::uint32_t slot, Seconds when);
 
   /// The shared peek-next-live helper: purges stale references (cancelled
@@ -146,16 +140,13 @@ class Simulation {
   /// the next live one, or nullptr when drained.  step() and run_until()
   /// both go through here, so the skip logic exists once.
   const EventRef* peek_live();
-  void pop_top();
   /// Pops the given live ref and invokes its callback (clock := when).
   void fire(EventRef top);
 
   void note_fired();
   void note_cancelled();
 
-  Engine engine_;
   LadderQueue ladder_;
-  std::vector<EventRef> heap_;  // Engine::kReferenceHeap ready structure
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;  // slots handed out so far
   std::uint32_t free_head_ = kNoFree;

@@ -1,10 +1,10 @@
-// Fault-storm replay: the three-way determinism gate for the event
-// engines under a full cloud workload.
+// Fault-storm replay: the determinism gate for the event engine under a
+// full cloud workload.
 //
 // A seeded lifecycle campaign (staggered launches under an aggressive
-// fault model, guarded terminates racing crashes) must fingerprint
-// byte-identically on the reference-heap ordering oracle and on the
-// production ladder engine, and replay identically run after run.
+// fault model, guarded terminates racing crashes) must reproduce a
+// recorded event count and fingerprint, and replay identically run after
+// run.
 
 #include <gtest/gtest.h>
 
@@ -88,8 +88,8 @@ struct StormResult {
   std::size_t events = 0;
 };
 
-StormResult run_single(sim::Simulation::Engine engine, std::uint64_t fleet) {
-  sim::Simulation sim(engine);
+StormResult run_single(std::uint64_t fleet) {
+  sim::Simulation sim;
   CloudProvider provider(sim, Rng(777), storm_config());
   drive_storm(sim, provider, fleet, 0xC0FFEEULL);
   StormResult out;
@@ -98,19 +98,18 @@ StormResult run_single(sim::Simulation::Engine engine, std::uint64_t fleet) {
   return out;
 }
 
-TEST(StormReplay, LadderMatchesReferenceHeapByteForByte) {
-  const StormResult oracle =
-      run_single(sim::Simulation::Engine::kReferenceHeap, 2000);
-  const StormResult ladder =
-      run_single(sim::Simulation::Engine::kLadder, 2000);
-  EXPECT_EQ(oracle.events, ladder.events);
-  EXPECT_EQ(oracle.hash, ladder.hash);
+// The values a binary-heap ready queue over the same slab produced for
+// this campaign; the ladder engine agreed with it byte for byte when both
+// were built, so any ordering change in the ladder shows up here.
+TEST(StormReplay, LadderMatchesRecordedFingerprint) {
+  const StormResult ladder = run_single(2000);
+  EXPECT_EQ(ladder.events, 7754u);
+  EXPECT_EQ(ladder.hash, 10642356285078765985ull);
 }
 
 TEST(StormReplay, ReplayIsStableAcrossRepeatedRuns) {
-  const StormResult first = run_single(sim::Simulation::Engine::kLadder, 1000);
-  const StormResult second =
-      run_single(sim::Simulation::Engine::kLadder, 1000);
+  const StormResult first = run_single(1000);
+  const StormResult second = run_single(1000);
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.hash, second.hash);
 }

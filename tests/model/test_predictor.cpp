@@ -114,7 +114,8 @@ TEST(ThroughputBank, KeepsThePriorBelowMinimumEvidence) {
   bank.observe(1_MB, Seconds(90.0));
   bank.observe(2_MB, Seconds(180.0));
   EXPECT_EQ(bank.count(), 2u);
-  const Predictor fitted = bank.fitted(prior, 3);
+  ASSERT_LT(bank.count(), ThroughputBank::kMinObservations);
+  const Predictor fitted = bank.fitted(prior);
   EXPECT_DOUBLE_EQ(fitted.affine().slope, prior.affine().slope);
   EXPECT_DOUBLE_EQ(fitted.affine().intercept, prior.affine().intercept);
 }
@@ -144,7 +145,7 @@ TEST(ThroughputBank, RefitsTheAffineModelFromSpreadObservations) {
     bank.observe(Bytes(static_cast<std::uint64_t>(v)),
                  Seconds(10.0 + 2.0e-4 * v));
   }
-  const Predictor fitted = bank.fitted(prior, 3);
+  const Predictor fitted = bank.fitted(prior);
   EXPECT_NEAR(fitted.affine().slope, 2.0e-4, 1e-8);
   EXPECT_NEAR(fitted.affine().intercept, 10.0, 1e-6);
   // The refit steers capacity planning: half the volume fits the hour.
@@ -160,7 +161,7 @@ TEST(ThroughputBank, NoVolumeSpreadKeepsPriorInterceptAndPoolsTheRate) {
   for (int i = 0; i < 4; ++i) {
     bank.observe(Bytes(1'000'000), Seconds(20.0 + 300.0));  // 3e-4 s/byte
   }
-  const Predictor fitted = bank.fitted(prior, 3);
+  const Predictor fitted = bank.fitted(prior);
   EXPECT_DOUBLE_EQ(fitted.affine().intercept, 20.0);
   EXPECT_NEAR(fitted.affine().slope, 3.0e-4, 1e-10);
 }

@@ -89,7 +89,6 @@ TEST(ElasticCampaign, FaultFreeCompletesEveryUnitWithinDeadline) {
   ASSERT_GE(report.epochs.size(), 1u);
   EXPECT_EQ(report.replans, report.epochs.size());
   for (const EpochDecision& e : report.epochs) {
-    EXPECT_TRUE(e.replanned);
     EXPECT_TRUE(e.flagged.empty());
     EXPECT_FALSE(e.degraded);
   }
@@ -224,6 +223,67 @@ TEST(ElasticCampaign, AzOutageTriggersCrossAzReplacement) {
   }
   EXPECT_EQ(report.execution.missed, 0u);
   EXPECT_GE(report.acquisitions, 1u);
+}
+
+// --- zone failure clusters -------------------------------------------------
+//
+// Without an AZ-outage fault a zone turns suspect only on a failure
+// cluster: two member failures in it within one epoch.  An epoch longer
+// than the campaign puts every failure in the first one, and until the
+// primary zone turns suspect every launch goes there, so a re-stage into
+// another zone is the cluster rule's doing.
+
+struct ClusterRun {
+  CampaignReport report;
+  std::size_t suspect_marks = 0;  // zone-suspect instants (recording on)
+};
+
+ClusterRun run_crash_only(std::uint64_t provider_seed) {
+  ElasticOptions elastic;
+  elastic.epoch = Seconds(36'000.0);
+  const bool record = obs::compiled_in();
+  if (record) {
+    obs::reset();
+    obs::set_enabled(true);
+  }
+  ClusterRun run{run_elastic(crashy_config(1.0), slack_plan(data_40mb()),
+                             elastic, provider_seed, 1)};
+  if (record) {
+    obs::set_enabled(false);
+    for (const obs::TraceEvent& e : obs::trace().snapshot()) {
+      if (e.ph == 'i' && e.name == "zone-suspect") ++run.suspect_marks;
+    }
+    obs::reset();
+  }
+  return run;
+}
+
+TEST(ElasticCampaign, TwoFailuresInOneEpochMarkTheZoneSuspect) {
+  const ClusterRun run = run_crash_only(4);
+  ASSERT_EQ(run.report.execution.failures, 2u)
+      << "seed no longer crashes exactly twice; pick another seed";
+  ASSERT_TRUE(run.report.epochs.empty());  // both failures in epoch one
+  EXPECT_GE(run.report.cross_az_moves, 1u);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(run.suspect_marks, 1u);
+  }
+  for (const InstanceOutcome& o : run.report.execution.outcomes) {
+    EXPECT_TRUE(o.completed);
+  }
+}
+
+TEST(ElasticCampaign, OneFailureLeavesTheZoneTrusted) {
+  const ClusterRun run = run_crash_only(1);
+  ASSERT_EQ(run.report.execution.failures, 1u)
+      << "seed no longer crashes exactly once; pick another seed";
+  EXPECT_GE(run.report.acquisitions, 1u);  // the replacement stayed home
+  EXPECT_EQ(run.report.cross_az_moves, 0u);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(run.suspect_marks, 0u);
+  }
+  for (const InstanceOutcome& o : run.report.execution.outcomes) {
+    EXPECT_TRUE(o.completed);
+  }
 }
 
 // --- graceful degradation --------------------------------------------------

@@ -53,7 +53,7 @@ TEST(ThroughputBankAccessors, ExposeObservationsInIngestOrder) {
 }
 
 TEST(ConcurrentIngest, NoTornFitsAndNoLostObservations) {
-  ShardedModelStore store(8, 3);
+  ShardedModelStore store(8);
   const ModelKeyView key{"grep", "v1"};
   store.seed(key, prior_fit());
 
@@ -92,7 +92,7 @@ TEST(ConcurrentIngest, NoTornFitsAndNoLostObservations) {
 
 TEST(ConcurrentIngest, FinalRefitIsDeterministicAcrossInterleavings) {
   // Sequential reference: the same multiset ingested by one thread.
-  ShardedModelStore reference(8, 3);
+  ShardedModelStore reference(8);
   const ModelKeyView key{"grep", "v1"};
   reference.seed(key, prior_fit());
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -105,7 +105,7 @@ TEST(ConcurrentIngest, FinalRefitIsDeterministicAcrossInterleavings) {
   // Two independent concurrent runs: whatever interleaving the scheduler
   // produces, the published fit must equal the reference bit for bit.
   for (int run = 0; run < 2; ++run) {
-    ShardedModelStore store(8, 3);
+    ShardedModelStore store(8);
     store.seed(key, prior_fit());
     std::vector<std::thread> writers;
     for (std::size_t t = 0; t < kThreads; ++t) {
@@ -129,7 +129,7 @@ TEST(ConcurrentIngest, FinalRefitIsDeterministicAcrossInterleavings) {
 }
 
 TEST(ConcurrentIngest, DisjointKeysNeverInterfere) {
-  ShardedModelStore store(4, 3);
+  ShardedModelStore store(4);
   std::vector<std::string> apps;
   for (std::size_t t = 0; t < kThreads; ++t) {
     apps.push_back("tenant-" + std::to_string(t));

@@ -80,7 +80,7 @@ TEST(ShardedModelStore, NoSignalObservationsInvalidateNothing) {
 }
 
 TEST(ShardedModelStore, BelowTheEvidenceFloorThePriorStands) {
-  ShardedModelStore store(16, 3);
+  ShardedModelStore store(16);
   const model::Predictor prior = prior_fit(7.0, 2e-7);
   store.seed(kKey, prior);
   (void)store.observe(kKey, Bytes(1u << 20), Seconds(2.0));

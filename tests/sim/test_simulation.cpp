@@ -10,9 +10,6 @@
 namespace reshape::sim {
 namespace {
 
-constexpr Simulation::Engine kBothEngines[] = {
-    Simulation::Engine::kLadder, Simulation::Engine::kReferenceHeap};
-
 TEST(Simulation, ClockStartsAtZero) {
   Simulation s;
   EXPECT_DOUBLE_EQ(s.now().value(), 0.0);
@@ -139,17 +136,15 @@ TEST(Simulation, CancelledEventSkippedByStep) {
 // fired (any id < the sequence counter), silently corrupting pending().
 // A handle must be dead the moment its event fires.
 TEST(Simulation, CancelAfterFireReturnsFalse) {
-  for (const Simulation::Engine engine : kBothEngines) {
-    Simulation s(engine);
-    bool fired = false;
-    const EventHandle h =
-        s.schedule_at(Seconds(1.0), [&fired](Simulation&) { fired = true; });
-    s.schedule_at(Seconds(2.0), [](Simulation&) {});
-    EXPECT_EQ(s.run(), 2u);
-    EXPECT_TRUE(fired);
-    EXPECT_FALSE(s.cancel(h));
-    EXPECT_EQ(s.pending(), 0u);
-  }
+  Simulation s;
+  bool fired = false;
+  const EventHandle h =
+      s.schedule_at(Seconds(1.0), [&fired](Simulation&) { fired = true; });
+  s.schedule_at(Seconds(2.0), [](Simulation&) {});
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(s.cancel(h));
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 // The retained reference oracle carries the same fix (its header calls
@@ -170,17 +165,15 @@ TEST(SimulationReference, CancelAfterFireReturnsFalse) {
 // A callback cancelling its own (currently firing) event gets false: the
 // slot is invalidated before the callable runs.
 TEST(Simulation, CancelOwnHandleDuringCallbackReturnsFalse) {
-  for (const Simulation::Engine engine : kBothEngines) {
-    Simulation s(engine);
-    EventHandle h;
-    bool cancel_result = true;
-    h = s.schedule_at(Seconds(1.0), [&](Simulation& sim) {
-      cancel_result = sim.cancel(h);
-    });
-    EXPECT_EQ(s.run(), 1u);
-    EXPECT_FALSE(cancel_result);
-    EXPECT_EQ(s.pending(), 0u);
-  }
+  Simulation s;
+  EventHandle h;
+  bool cancel_result = true;
+  h = s.schedule_at(Seconds(1.0), [&](Simulation& sim) {
+    cancel_result = sim.cancel(h);
+  });
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_FALSE(cancel_result);
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 // Cancel-then-reschedule reuses the slab slot (LIFO free list); the
@@ -209,18 +202,16 @@ TEST(Simulation, StaleHandleRejectedAfterSlotReuse) {
 // same run at the same timestamp, after every equal-time event that was
 // scheduled earlier (FIFO by sequence).
 TEST(Simulation, ScheduleAtNowInsideCallbackFiresSameRun) {
-  for (const Simulation::Engine engine : kBothEngines) {
-    Simulation s(engine);
-    std::vector<int> order;
-    s.schedule_at(Seconds(1.0), [&order](Simulation& sim) {
-      order.push_back(1);
-      sim.schedule_at(sim.now(), [&order](Simulation&) { order.push_back(3); });
-    });
-    s.schedule_at(Seconds(1.0), [&order](Simulation&) { order.push_back(2); });
-    EXPECT_EQ(s.run(), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_DOUBLE_EQ(s.now().value(), 1.0);
-  }
+  Simulation s;
+  std::vector<int> order;
+  s.schedule_at(Seconds(1.0), [&order](Simulation& sim) {
+    order.push_back(1);
+    sim.schedule_at(sim.now(), [&order](Simulation&) { order.push_back(3); });
+  });
+  s.schedule_at(Seconds(1.0), [&order](Simulation&) { order.push_back(2); });
+  EXPECT_EQ(s.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(s.now().value(), 1.0);
 }
 
 // Events at integer times 0..512 re-span into a ladder rung of width
