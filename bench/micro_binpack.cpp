@@ -22,7 +22,6 @@
 //                           exported as Chrome trace-event JSON
 //   --metrics out.json      binpack.* / pool.* counter-histogram snapshot
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -31,7 +30,7 @@
 #include "common/rng.hpp"
 #include "corpus/corpus.hpp"
 #include "corpus/distribution.hpp"
-#include "obs/metrics.hpp"
+#include "harness.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "reshape/binpack.hpp"
@@ -40,6 +39,7 @@
 namespace {
 
 using namespace reshape;
+using bench::time_best_of;
 
 constexpr Bytes kCapacity = 64_kB;
 constexpr std::size_t kShards = 4;
@@ -76,19 +76,6 @@ bool identical(const std::vector<pack::Bin>& a,
   return true;
 }
 
-/// Best wall time of `reps` runs of fn() (best-of damps scheduler noise).
-template <typename F>
-double time_best_of(int reps, F&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 struct Row {
   std::string algo;
   std::size_t n = 0;
@@ -100,15 +87,11 @@ struct Row {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string trace_path, metrics_path;
+  obs::Session session;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else {
+    } else if (!session.take(argc, argv, i)) {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--trace out.json] "
                    "[--metrics out.json]\n",
@@ -228,35 +211,13 @@ int main(int argc, char** argv) {
   // Observability export: one extra (untimed) parallel merge with
   // recording + wall-clock capture on.  Runs after every timed section so
   // the benchmark numbers above are never measured with recording active.
-  if (!trace_path.empty() || !metrics_path.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "--trace/--metrics need a build with RESHAPE_OBS=ON\n");
-      return 2;
-    }
-    obs::reset();
-    obs::set_enabled(true);
+  const int exported = session.record([&] {
     obs::trace().set_wall_capture(true);
     (void)pack::merge_to_unit_parallel(corpus, kCapacity,
                                        pack::ItemOrder::kOriginal, kShards);
     obs::trace().set_wall_capture(false);
-    obs::set_enabled(false);
-    if (!trace_path.empty()) {
-      if (!obs::trace().write_chrome_json(trace_path)) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 1;
-      }
-      std::printf("trace: %zu events -> %s (open in Perfetto)\n",
-                  obs::trace().event_count(), trace_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-      if (!obs::metrics().write_json(metrics_path)) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-        return 1;
-      }
-      std::printf("metrics snapshot -> %s\n", metrics_path.c_str());
-    }
-  }
+  });
+  if (exported != 0) return exported;
 
   if (!all_identical) return 2;
   if (smoke) {

@@ -34,9 +34,7 @@
 #include <vector>
 
 #include "corpus/distribution.hpp"
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "provision/controller.hpp"
 
 namespace {
@@ -50,19 +48,10 @@ using namespace reshape::provision;
 // or an epoch chain that stops terminating).
 constexpr double kEpochWallCeiling = 0.25;
 
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
-
 /// ~600 s units judged against a 1 h campaign deadline: the regime where
 /// the recovery policy, not the raw work, decides hit or miss.
 ExecutionPlan slack_plan(const corpus::Corpus& data) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = Seconds(600.0);
   options.strategy = PackingStrategy::kUniform;
@@ -173,15 +162,11 @@ Cell run_cell(const Storm& storm, const ExecutionPlan& plan,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string trace_path, metrics_path;
+  obs::Session session;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else {
+    } else if (!session.take(argc, argv, i)) {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--trace out.json] "
                    "[--metrics out.json]\n",
@@ -263,36 +248,14 @@ int main(int argc, char** argv) {
 
   // Observability export: one extra untimed crash-storm campaign with
   // recording on, after every timed section.
-  if (!trace_path.empty() || !metrics_path.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "--trace/--metrics need a build with RESHAPE_OBS=ON\n");
-      return 2;
-    }
-    obs::reset();
-    obs::set_enabled(true);
+  const int exported = session.record([&] {
     for (const Storm& storm : storm_grid()) {
       if (std::strcmp(storm.name, "crash-storm") == 0) {
         (void)run_cell(storm, plan, seeds.front());
       }
     }
-    obs::set_enabled(false);
-    if (!trace_path.empty()) {
-      if (!obs::trace().write_chrome_json(trace_path, /*canonical=*/true)) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 1;
-      }
-      std::printf("trace: %zu events -> %s (open in Perfetto)\n",
-                  obs::trace().event_count(), trace_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-      if (!obs::metrics().write_json(metrics_path)) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-        return 1;
-      }
-      std::printf("metrics snapshot -> %s\n", metrics_path.c_str());
-    }
-  }
+  });
+  if (exported != 0) return exported;
 
   // Smoke gates: elastic must not hit fewer deadlines than static over
   // the grid, and the control loop must stay cheap per boundary.

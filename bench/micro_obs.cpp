@@ -27,14 +27,13 @@
 // to measure, and the bench exits 0 reporting that recording sites are
 // dead code.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "churn_workload.hpp"
+#include "harness.hpp"
 #include "obs/profile/trace_index.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
@@ -42,6 +41,7 @@
 namespace {
 
 using namespace reshape;
+using bench::time_best_of;
 
 // Ceilings for the smoke gate.  A span records in the ~250-600 ns range
 // on current hardware (one lock, one vector push, a few small-string
@@ -53,18 +53,6 @@ using namespace reshape;
 // or an allocation.
 constexpr double kSpanNsCeiling = 2500.0;
 constexpr double kChurnPenaltyCeiling = 0.30;
-
-template <typename F>
-double time_best_of(int reps, F&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
 
 /// Records `n` attempt-shaped spans on the global recorder.
 void record_spans(std::size_t n) {

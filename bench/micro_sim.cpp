@@ -31,8 +31,6 @@
 //                       on, then a canonical Chrome-trace export of the
 //                       instance lifecycle spans (needs RESHAPE_OBS=ON).
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -43,9 +41,8 @@
 #include "churn_workload.hpp"
 #include "cloud/provider.hpp"
 #include "common/rng.hpp"
-#include "obs/metrics.hpp"
+#include "harness.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 #include "sim/simulation_reference.hpp"
 
@@ -57,25 +54,13 @@ using benchutil::ChurnOut;
 using benchutil::churn_ladder;
 using benchutil::churn_reference;
 using benchutil::splitmix;
+using bench::time_best_of;
 
 // Recorded churn ratio (ladder/slab engine vs seed engine, events/sec,
 // measured on the 1M-event churn).  The smoke gate fails below 75% of
 // this, with an absolute floor of 4x (the acceptance criterion).
 constexpr double kRecordedChurnRatio = 5.3;
 constexpr double kFloorChurn = 4.0;
-
-/// Best wall time of `reps` runs of fn() (best-of damps scheduler noise).
-template <typename F>
-double time_best_of(int reps, F&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
 
 // The churn workload itself lives in churn_workload.hpp (shared with
 // micro_obs, which replays it to price recording overhead).
@@ -134,15 +119,11 @@ struct Row {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string metrics_path, trace_path;
+  obs::Session session;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else {
+    } else if (!session.take(argc, argv, i)) {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--metrics out.json] "
                    "[--trace out.json]\n",
@@ -217,54 +198,22 @@ int main(int argc, char** argv) {
 
   // Observability export: one extra untimed pass with recording on, after
   // every timed section.
-  if (!metrics_path.empty() || !trace_path.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "--metrics/--trace need a build with RESHAPE_OBS=ON\n");
-      return 2;
-    }
-    obs::reset();
-    obs::set_enabled(true);
+  const int exported = session.record([&] {
     (void)churn_ladder(100000);
-    if (!trace_path.empty()) {
-      // The churn records only counters; the fault storm exercises the
-      // instance lifecycle spans the trace is for.
-      run_storm(2000);
-    }
-    obs::set_enabled(false);
-    if (!metrics_path.empty()) {
-      if (!obs::metrics().write_json(metrics_path)) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-        return 1;
-      }
-      std::printf("metrics snapshot -> %s\n", metrics_path.c_str());
-    }
-    if (!trace_path.empty()) {
-      if (!obs::trace().write_chrome_json(trace_path, /*canonical=*/true)) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 1;
-      }
-      std::printf("trace: %zu events -> %s (open in Perfetto)\n",
-                  obs::trace().event_count(), trace_path.c_str());
-    }
-  }
+    // The churn records only counters; the fault storm exercises the
+    // instance lifecycle spans the trace is for.
+    if (session.tracing()) run_storm(2000);
+  });
+  if (exported != 0) return exported;
 
   if (!all_identical) return 2;
   if (smoke) {
-    bool ok = true;
-    for (const Row& r : rows) {
-      if (r.workload != "churn") continue;
-      const double threshold =
-          std::max(kFloorChurn, kRecordedChurnRatio * 0.75);
-      if (r.ratio() < threshold) {
-        std::fprintf(stderr,
-                     "SMOKE FAIL: churn ratio %.2fx below threshold %.2fx "
-                     "(recorded %.2fx)\n",
-                     r.ratio(), threshold, kRecordedChurnRatio);
-        ok = false;
-      }
+    // Identical fingerprints put exactly the churn row in `rows`.
+    const Row& churn = rows.front();
+    if (!bench::ratio_gate(churn.workload, churn.ratio(), kRecordedChurnRatio,
+                           kFloorChurn)) {
+      return 1;
     }
-    if (!ok) return 1;
     std::printf("smoke ok: churn ratio above threshold\n");
   }
   return 0;

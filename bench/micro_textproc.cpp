@@ -21,7 +21,6 @@
 //   --metrics out.json       textproc.* counter snapshot
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,7 +28,7 @@
 
 #include "common/rng.hpp"
 #include "corpus/textgen.hpp"
-#include "obs/metrics.hpp"
+#include "harness.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "textproc/pos.hpp"
@@ -39,6 +38,7 @@
 namespace {
 
 using namespace reshape;
+using bench::time_best_of;
 
 // Recorded reference ratios (vectorized vs reference, measured on the
 // smoke corpus).  The smoke gate fails below 75% of these; the literal
@@ -61,19 +61,6 @@ std::string lined_corpus(Bytes volume) {
   return text;
 }
 
-/// Best wall time of `reps` runs of fn() (best-of damps scheduler noise).
-template <typename F>
-double time_best_of(int reps, F&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 double mb_per_s(std::size_t bytes, double seconds) {
   if (seconds <= 0.0) return 0.0;
   return static_cast<double>(bytes) / 1e6 / seconds;
@@ -93,15 +80,11 @@ struct Row {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string trace_path, metrics_path;
+  obs::Session session;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else {
+    } else if (!session.take(argc, argv, i)) {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--trace out.json] "
                    "[--metrics out.json]\n",
@@ -292,48 +275,19 @@ int main(int argc, char** argv) {
   // Observability export: one extra untimed pass with recording on, after
   // every timed section, so the numbers above are never measured with
   // recording active.
-  if (!trace_path.empty() || !metrics_path.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "--trace/--metrics need a build with RESHAPE_OBS=ON\n");
-      return 2;
-    }
-    obs::reset();
-    obs::set_enabled(true);
+  const int exported = session.record([&] {
     obs::trace().set_wall_capture(true);
     (void)textproc::grep_literal(text, "tion");
     (void)textproc::grep_regex(text, "[a-z]+tion");
     obs::trace().set_wall_capture(false);
-    obs::set_enabled(false);
-    if (!trace_path.empty()) {
-      if (!obs::trace().write_chrome_json(trace_path)) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 1;
-      }
-      std::printf("trace: %zu events -> %s (open in Perfetto)\n",
-                  obs::trace().event_count(), trace_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-      if (!obs::metrics().write_json(metrics_path)) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-        return 1;
-      }
-      std::printf("metrics snapshot -> %s\n", metrics_path.c_str());
-    }
-  }
+  });
+  if (exported != 0) return exported;
 
   if (!all_identical) return 2;
   if (smoke) {
     bool ok = true;
     const auto gate = [&ok](const Row& r, double recorded, double min_ratio) {
-      const double threshold = std::max(min_ratio, recorded * 0.75);
-      if (r.ratio() < threshold) {
-        std::fprintf(stderr,
-                     "SMOKE FAIL: %s ratio %.2fx below threshold %.2fx "
-                     "(recorded %.2fx)\n",
-                     r.kernel.c_str(), r.ratio(), threshold, recorded);
-        ok = false;
-      }
+      ok = bench::ratio_gate(r.kernel, r.ratio(), recorded, min_ratio) && ok;
     };
     for (const Row& r : rows) {
       if (r.kernel.rfind("grep_literal:", 0) == 0) {

@@ -19,7 +19,6 @@
 // above: the flagged run happens after them, on its own recorder state.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,9 +29,7 @@
 #include "corpus/corpus.hpp"
 #include "corpus/distribution.hpp"
 #include "model/predictor.hpp"
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "provision/executor.hpp"
 #include "provision/planner.hpp"
 #include "sim/simulation.hpp"
@@ -40,15 +37,6 @@
 using namespace reshape;
 
 namespace {
-
-model::Predictor eq3_model() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
 
 provision::ExecutionReport run_campaign(const provision::ExecutionPlan& plan,
                                         const cloud::FaultModel& faults) {
@@ -88,13 +76,9 @@ provision::ExecutionReport run_data_plane(const provision::ExecutionPlan& plan,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string trace_path, metrics_path;
+  obs::Session session;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else {
+    if (!session.take(argc, argv, i)) {
       std::fprintf(stderr,
                    "usage: %s [--trace out.json] [--metrics out.json]\n",
                    argv[0]);
@@ -107,7 +91,7 @@ int main(int argc, char** argv) {
       corpus::Corpus::generate(corpus::text_400k_sizes(), 120'000, corpus_rng);
   const corpus::Corpus data = all.take_volume(400_MB);
 
-  const provision::StaticPlanner planner(eq3_model());
+  const provision::StaticPlanner planner(model::eq3_predictor());
   provision::PlanOptions plan_options;
   plan_options.deadline = 1_h;
   plan_options.strategy = provision::PackingStrategy::kUniform;
@@ -174,31 +158,5 @@ int main(int argc, char** argv) {
   // Observability export: replay the seeded faulty campaign once more
   // with recording on.  Spans are stamped in simulated time, so this
   // trace is byte-identical across runs of the same binary and seed.
-  if (!trace_path.empty() || !metrics_path.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "--trace/--metrics need a build with RESHAPE_OBS=ON\n");
-      return 2;
-    }
-    obs::reset();
-    obs::set_enabled(true);
-    (void)run_campaign(plan, storm);
-    obs::set_enabled(false);
-    if (!trace_path.empty()) {
-      if (!obs::trace().write_chrome_json(trace_path)) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 1;
-      }
-      std::printf("\ntrace: %zu events -> %s (open in Perfetto)\n",
-                  obs::trace().event_count(), trace_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-      if (!obs::metrics().write_json(metrics_path)) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-        return 1;
-      }
-      std::printf("metrics snapshot -> %s\n", metrics_path.c_str());
-    }
-  }
-  return 0;
+  return session.record([&] { (void)run_campaign(plan, storm); });
 }

@@ -26,31 +26,18 @@
 // is byte-identical across runs.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "cloud/spot.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "corpus/distribution.hpp"
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "provision/controller.hpp"
 
 using namespace reshape;
 
 namespace {
-
-/// The paper's Eq. (3) predictor: f(x) = 0.327 + 0.865e-4 x.
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
 
 std::size_t deadline_hits(const provision::ExecutionReport& report) {
   std::size_t n = 0;
@@ -71,8 +58,7 @@ provision::CampaignReport run_elastic_once(
                                  provision::ElasticOptions{}, noise);
 }
 
-int spot_reclaim_campaign(const std::string& trace_path,
-                          const std::string& metrics_path) {
+int spot_reclaim_campaign(const obs::Session& session) {
   std::printf(
       "== act 2: a deadline campaign through a spot reclaim wave ==\n\n");
 
@@ -82,7 +68,7 @@ int spot_reclaim_campaign(const std::string& trace_path,
   const corpus::Corpus data =
       corpus::Corpus::generate(corpus::text_400k_sizes(), 20'000, rng)
           .take_volume(40_MB);
-  const provision::StaticPlanner planner(eq3_predictor());
+  const provision::StaticPlanner planner(model::eq3_predictor());
   provision::PlanOptions options;
   options.deadline = Seconds(600.0);
   options.strategy = provision::PackingStrategy::kUniform;
@@ -147,45 +133,15 @@ int spot_reclaim_campaign(const std::string& trace_path,
   // Observability export: replay the elastic campaign once more with
   // recording on.  Spans are stamped in simulated time, so the trace is
   // byte-identical across runs of the same binary.
-  if (!trace_path.empty() || !metrics_path.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "--trace/--metrics need a build with RESHAPE_OBS=ON\n");
-      return 2;
-    }
-    obs::reset();
-    obs::set_enabled(true);
-    (void)run_elastic_once(plan, config);
-    obs::set_enabled(false);
-    if (!trace_path.empty()) {
-      if (!obs::trace().write_chrome_json(trace_path)) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 1;
-      }
-      std::printf("\ntrace: %zu events -> %s (open in Perfetto)\n",
-                  obs::trace().event_count(), trace_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-      if (!obs::metrics().write_json(metrics_path)) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-        return 1;
-      }
-      std::printf("metrics snapshot -> %s\n", metrics_path.c_str());
-    }
-  }
-  return 0;
+  return session.record([&] { (void)run_elastic_once(plan, config); });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string trace_path, metrics_path;
+  obs::Session session;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else {
+    if (!session.take(argc, argv, i)) {
       std::fprintf(stderr,
                    "usage: %s [--trace out.json] [--metrics out.json]\n",
                    argv[0]);
@@ -230,5 +186,5 @@ int main(int argc, char** argv) {
       "interruptible work at a mean-level bid pays roughly half the\n"
       "on-demand rate at the cost of interruptions.\n\n");
 
-  return spot_reclaim_campaign(trace_path, metrics_path);
+  return spot_reclaim_campaign(session);
 }

@@ -23,6 +23,15 @@ Bytes Predictor::max_volume_within(Seconds deadline) const {
   return Bytes(static_cast<std::uint64_t>(x));
 }
 
+Predictor eq3_predictor() {
+  std::vector<double> xs, ys;
+  for (double v = 1e4; v <= 1e6; v += 1e5) {
+    xs.push_back(v);
+    ys.push_back(0.327 + 0.865e-4 * v);
+  }
+  return Predictor::fit(xs, ys);
+}
+
 void ThroughputBank::observe(Bytes volume, Seconds elapsed) {
   if (volume.count() == 0 || elapsed.value() <= 0.0) return;
   volumes_.push_back(volume.as_double());

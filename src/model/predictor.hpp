@@ -39,6 +39,9 @@ class Predictor {
   AffineFit fit_;
 };
 
+/// The paper's POS model, Eq. (3): f(x) = 0.327 + 0.865e-4·x, x in bytes.
+[[nodiscard]] Predictor eq3_predictor();
+
 /// Online observation bank for epoch re-planning: the elastic controller
 /// streams every completed attempt's (volume, elapsed) pair in, and each
 /// epoch asks for a predictor refreshed with the campaign's own evidence

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
+#include <string>
 
 namespace reshape::obs {
 
@@ -49,5 +51,26 @@ void set_enabled(bool on);
 /// Clears the global trace and zeroes the global metrics — the reset
 /// point between two runs whose artifacts are compared byte-for-byte.
 void reset();
+
+/// The `--trace PATH` / `--metrics PATH` pair every binary accepts.
+/// Exported traces are always in canonical order.
+class Session {
+ public:
+  /// Consumes argv[i] and its value (advancing `i`) when argv[i] is one
+  /// of the two flags; false otherwise, or when the value is missing.
+  bool take(int argc, char** argv, int& i);
+  /// True when `--trace` was given.
+  [[nodiscard]] bool tracing() const { return !trace_path_.empty(); }
+  /// reset -> enable -> `workload` -> disable, then write(); a no-op
+  /// without flags.  Returns 2 when recording is compiled out.
+  int record(const std::function<void()>& workload) const;
+  /// Writes what the global recorders hold to the requested files.
+  /// Returns 0, or 1 when a file cannot be written.
+  int write() const;
+
+ private:
+  std::string trace_path_;
+  std::string metrics_path_;
+};
 
 }  // namespace reshape::obs

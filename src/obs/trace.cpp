@@ -257,9 +257,8 @@ std::string TraceRecorder::to_chrome_json(bool canonical) const {
   return out;
 }
 
-bool TraceRecorder::write_chrome_json(const std::string& path,
-                                      bool canonical) const {
-  const std::string json = to_chrome_json(canonical);
+bool TraceRecorder::write_chrome_json(const std::string& path) const {
+  const std::string json = to_chrome_json(/*canonical=*/true);
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fwrite(json.data(), 1, json.size(), f);

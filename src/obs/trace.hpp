@@ -123,10 +123,9 @@ class TraceRecorder {
   /// a zone-sharded parallel run exports reproducibly.
   [[nodiscard]] std::string to_chrome_json(bool canonical = false) const;
 
-  /// Writes the JSON to `path`; returns false if the file could not be
-  /// opened.
-  bool write_chrome_json(const std::string& path,
-                         bool canonical = false) const;
+  /// Writes the canonical JSON to `path` (every exported file is
+  /// canonical); returns false if the file could not be opened.
+  bool write_chrome_json(const std::string& path) const;
 
   /// Drops every recorded event (wall capture state is kept).
   void clear();

@@ -10,16 +10,6 @@
 namespace reshape::model {
 namespace {
 
-/// Predictor equal to the paper's Eq. (3): f(x) = 0.327 + 0.865e-4 x.
-Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return Predictor::fit(xs, ys);
-}
-
 TEST(Predictor, PredictMatchesEquationThree) {
   const Predictor p = eq3_predictor();
   // A 1 MB run is ~86.8 s, the scale of Fig. 7.

@@ -29,15 +29,6 @@ namespace {
 namespace json = reshape::testjson;
 namespace profile = reshape::obs::profile;
 
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
-
 corpus::Corpus data_40mb() {
   Rng rng(1);
   corpus::Corpus all =
@@ -46,7 +37,7 @@ corpus::Corpus data_40mb() {
 }
 
 ExecutionPlan slack_plan(const corpus::Corpus& data) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = Seconds(600.0);
   options.strategy = PackingStrategy::kUniform;

@@ -33,15 +33,6 @@ namespace {
 
 namespace json = reshape::testjson;
 
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
-
 corpus::Corpus small_gig() {
   Rng rng(1);
   corpus::Corpus all =
@@ -50,7 +41,7 @@ corpus::Corpus small_gig() {
 }
 
 ExecutionPlan uniform_plan(const corpus::Corpus& data) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   options.strategy = PackingStrategy::kUniform;

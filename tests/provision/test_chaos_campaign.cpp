@@ -23,15 +23,6 @@
 namespace reshape::provision {
 namespace {
 
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
-
 corpus::Corpus data_40mb() {
   Rng rng(1);
   corpus::Corpus all =
@@ -42,7 +33,7 @@ corpus::Corpus data_40mb() {
 /// ~600 s units against a 1 h campaign deadline: enough slack that the
 /// deadline is decided by the recovery policy, not by the raw work.
 ExecutionPlan slack_plan(const corpus::Corpus& data) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = Seconds(600.0);
   options.strategy = PackingStrategy::kUniform;

@@ -12,15 +12,6 @@
 namespace reshape::provision {
 namespace {
 
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
-
 corpus::Corpus data_40mb(std::uint64_t seed = 1) {
   Rng rng(seed);
   corpus::Corpus all =
@@ -32,7 +23,7 @@ corpus::Corpus data_40mb(std::uint64_t seed = 1) {
 /// deadline, so fault recovery has slack to fit into — the regime where
 /// hitting or missing the deadline is decided by the control policy.
 ExecutionPlan slack_plan(const corpus::Corpus& data) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = Seconds(600.0);
   options.strategy = PackingStrategy::kUniform;
@@ -403,7 +394,7 @@ corpus::Corpus data_200mb() {
 }
 
 ExecutionPlan hour_plan(const corpus::Corpus& data) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   options.strategy = PackingStrategy::kUniform;

@@ -9,15 +9,6 @@
 namespace reshape::provision {
 namespace {
 
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
-
 corpus::Corpus small_gig(std::uint64_t seed = 1) {
   Rng rng(seed);
   corpus::Corpus all =
@@ -26,7 +17,7 @@ corpus::Corpus small_gig(std::uint64_t seed = 1) {
 }
 
 ExecutionPlan uniform_plan(const corpus::Corpus& data, Seconds deadline) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = deadline;
   options.strategy = PackingStrategy::kUniform;

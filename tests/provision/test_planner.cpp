@@ -11,16 +11,6 @@
 namespace reshape::provision {
 namespace {
 
-/// The paper's Eq. (3): f(x) = 0.327 + 0.865e-4 x (x in bytes).
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
-
 corpus::Corpus gigabyte_corpus(std::uint64_t seed = 1) {
   Rng rng(seed);
   // ~1.09 GB of Text_400K-like files (enough files to sum to it).
@@ -31,7 +21,7 @@ corpus::Corpus gigabyte_corpus(std::uint64_t seed = 1) {
 
 TEST(StaticPlanner, OneHourDeadlineNeedsTwentySevenInstances) {
   // §5.2: D = 3600 under Eq. (3) prescribes 27 instances for the 1 GB set.
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   options.strategy = PackingStrategy::kUniform;
@@ -43,7 +33,7 @@ TEST(StaticPlanner, OneHourDeadlineNeedsTwentySevenInstances) {
 
 TEST(StaticPlanner, TwoHourDeadlineNeedsFourteen) {
   // §5.2 / Fig. 9(a): D = 7200 under Eq. (3) gives 14 instances.
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 2_h;
   const ExecutionPlan plan = planner.plan(gigabyte_corpus(), options);
@@ -67,7 +57,7 @@ TEST(StaticPlanner, LowerSlopeModelNeedsFewerInstances) {
 }
 
 TEST(StaticPlanner, PlanCoversWholeCorpusExactly) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   const corpus::Corpus data = gigabyte_corpus();
@@ -83,7 +73,7 @@ TEST(StaticPlanner, PlanCoversWholeCorpusExactly) {
 }
 
 TEST(StaticPlanner, UniformBinsAreBalanced) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   options.strategy = PackingStrategy::kUniform;
@@ -99,7 +89,7 @@ TEST(StaticPlanner, UniformBinsAreBalanced) {
 TEST(StaticPlanner, FirstFitFrontLoadsFullBins) {
   // Fig. 8(a): first-fit fills early bins to x0 and leaves the tail bin
   // light, so the spread is wide.
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   options.strategy = PackingStrategy::kFirstFit;
@@ -115,7 +105,7 @@ TEST(StaticPlanner, FirstFitFrontLoadsFullBins) {
 
 TEST(StaticPlanner, UniformMakespanBelowFirstFit) {
   // The Fig. 8(a) -> 8(b) improvement.
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   const corpus::Corpus data = gigabyte_corpus();
   PlanOptions ff;
   ff.deadline = 1_h;
@@ -127,7 +117,7 @@ TEST(StaticPlanner, UniformMakespanBelowFirstFit) {
 }
 
 TEST(StaticPlanner, AdjustedStrategyLowersPlanningDeadline) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   options.strategy = PackingStrategy::kAdjusted;
@@ -145,7 +135,7 @@ TEST(StaticPlanner, AdjustedStrategyLowersPlanningDeadline) {
 }
 
 TEST(StaticPlanner, PredictedCostUsesHourCeil) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   options.strategy = PackingStrategy::kUniform;
@@ -158,7 +148,7 @@ TEST(StaticPlanner, PredictedCostUsesHourCeil) {
 }
 
 TEST(StaticPlanner, PredictedMakespanWithinPlanningDeadline) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = 1_h;
   options.strategy = PackingStrategy::kUniform;
@@ -168,7 +158,7 @@ TEST(StaticPlanner, PredictedMakespanWithinPlanningDeadline) {
 }
 
 TEST(StaticPlanner, ImpossibleDeadlinesThrow) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = Seconds(0.2);  // below even the intercept
   EXPECT_THROW((void)planner.plan(gigabyte_corpus(), options), Error);
@@ -179,14 +169,14 @@ TEST(StaticPlanner, ImpossibleDeadlinesThrow) {
 TEST(StaticPlanner, DeadlineBelowLargestFileThrows) {
   // A deadline tighter than the largest unsplittable file's processing
   // time cannot be met (§5: "D > time taken to process largest file").
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = Seconds(2.0);  // ~23 kB capacity; files reach 705 kB
   EXPECT_THROW((void)planner.plan(gigabyte_corpus(), options), Error);
 }
 
 TEST(StaticPlanner, EmptyCorpusThrows) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   EXPECT_THROW((void)planner.plan(corpus::Corpus(), options), Error);
 }

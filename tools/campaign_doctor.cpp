@@ -24,8 +24,10 @@
 //
 // The text report always goes to stdout; the flags add file exports.
 // Two invocations with the same world and seed produce byte-identical
-// reports, traces and metrics — CI double-runs and diffs them.
+// reports and traces — the obs-export CTest double-runs and diffs them.
+// The metrics snapshot holds wall-clock latency histograms and varies.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,7 +35,6 @@
 #include <string>
 
 #include "corpus/distribution.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile/doctor.hpp"
 #include "obs/profile/trace_index.hpp"
 #include "obs/recorder.hpp"
@@ -45,19 +46,10 @@ namespace {
 using namespace reshape;
 using namespace reshape::provision;
 
-model::Predictor eq3_predictor() {
-  std::vector<double> xs, ys;
-  for (double v = 1e4; v <= 1e6; v += 1e5) {
-    xs.push_back(v);
-    ys.push_back(0.327 + 0.865e-4 * v);
-  }
-  return model::Predictor::fit(xs, ys);
-}
-
 /// ~600 s units judged against a 1 h campaign deadline (the controller
 /// test worlds' plan).
 ExecutionPlan slack_plan(const corpus::Corpus& data) {
-  const StaticPlanner planner(eq3_predictor());
+  const StaticPlanner planner(model::eq3_predictor());
   PlanOptions options;
   options.deadline = Seconds(600.0);
   options.strategy = PackingStrategy::kUniform;
@@ -111,7 +103,8 @@ bool write_file(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   std::string world_name = "chaos";
   std::uint64_t seed = 5;
-  std::string out_path, json_path, trace_path, metrics_path;
+  std::string out_path, json_path;
+  obs::Session session;
   for (int i = 1; i < argc; ++i) {
     const auto take = [&](const char* flag, std::string& into) {
       if (std::strcmp(argv[i], flag) != 0 || i + 1 >= argc) return false;
@@ -120,13 +113,15 @@ int main(int argc, char** argv) {
     };
     std::string seed_str;
     if (take("--world", world_name) || take("--out", out_path) ||
-        take("--json", json_path) || take("--trace", trace_path) ||
-        take("--metrics", metrics_path)) {
+        take("--json", json_path) || session.take(argc, argv, i)) {
       continue;
     }
+    // The whole value must be a decimal seed: "abc", "5x" and "" are
+    // usage errors, not seeds 0, 5 and 0.
     if (take("--seed", seed_str)) {
-      seed = std::strtoull(seed_str.c_str(), nullptr, 10);
-      continue;
+      const char* end = seed_str.data() + seed_str.size();
+      const auto [stop, ec] = std::from_chars(seed_str.data(), end, seed);
+      if (ec == std::errc{} && stop == end) continue;
     }
     std::fprintf(stderr,
                  "usage: %s [--world calm|chaos|doomed] [--seed N] "
@@ -186,14 +181,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     ok = false;
   }
-  if (!trace_path.empty() &&
-      !obs::trace().write_chrome_json(trace_path, /*canonical=*/true)) {
-    std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-    ok = false;
-  }
-  if (!metrics_path.empty() && !obs::metrics().write_json(metrics_path)) {
-    std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-    ok = false;
-  }
+  if (session.write() != 0) ok = false;
   return ok ? 0 : 1;
 }
