@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
 // calls out:
 //
-//   * bin-packing algorithm choice (first-fit vs best-fit vs next-fit,
-//     original vs decreasing order) — quality is tested elsewhere; here,
-//     cost per item;
+//   * bin-packing cost per item: first-fit and the uniform balance, the
+//     two packers the planner contrasts in Fig. 8 — quality is tested
+//     elsewhere;
 //   * regression fits (the planner refits models frequently);
 //   * the literal scanner vs regex-lite (why grep's literal path is BMH);
 //   * POS decoding: greedy-left3 vs full Viterbi (the left3words
@@ -45,34 +45,6 @@ void BM_FirstFit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FirstFit)->Arg(1000)->Arg(10000);
-
-void BM_FirstFitDecreasing(benchmark::State& state) {
-  const auto items = pack_items(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pack::first_fit(items, 1_MB, pack::ItemOrder::kDecreasing));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FirstFitDecreasing)->Arg(1000)->Arg(10000);
-
-void BM_BestFit(benchmark::State& state) {
-  const auto items = pack_items(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pack::best_fit(items, 1_MB));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BestFit)->Arg(1000)->Arg(10000);
-
-void BM_NextFit(benchmark::State& state) {
-  const auto items = pack_items(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pack::next_fit(items, 1_MB));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_NextFit)->Arg(1000)->Arg(10000);
 
 void BM_UniformBins(benchmark::State& state) {
   const auto items = pack_items(static_cast<std::size_t>(state.range(0)));

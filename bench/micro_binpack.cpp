@@ -1,12 +1,11 @@
 // Bin-packing core microbenchmark — the perf trajectory tracker for the
 // reshaping hot path.
 //
-// Times the naive O(n·b) reference packers against the tournament-tree
-// first-fit and multiset best-fit at n in {10k, 100k, 1M}, plus the
-// sharded parallel merge, and emits BENCH_binpack.json with items/sec for
-// each.  Every timed configuration is first checked for bit-identical bin
-// assignments against its reference oracle, so a speedup can never come
-// from a behaviour change.
+// Times the naive O(n·b) reference first-fit against the tournament-tree
+// first-fit at n in {10k, 100k, 1M} and emits BENCH_binpack.json with
+// items/sec for each.  Every timed configuration is first checked for
+// bit-identical bin assignments against the reference oracle, so a
+// speedup can never come from a behaviour change.
 //
 // Modes:
 //   micro_binpack           full sweep (the 1M naive baseline takes a
@@ -17,10 +16,9 @@
 //
 // Observability flags (untimed — recording only turns on after the timed
 // sweep, for one extra merge pass, so the numbers above stay clean):
-//   --trace out.json        wall-clock spans of the parallel merge
-//                           (ThreadPool parallel_for + per-shard packing)
+//   --trace out.json        wall-clock span of one sequential merge_to_unit
 //                           exported as Chrome trace-event JSON
-//   --metrics out.json      binpack.* / pool.* counter-histogram snapshot
+//   --metrics out.json      binpack.* counter-histogram snapshot
 
 #include <cstdio>
 #include <cstring>
@@ -42,7 +40,6 @@ using namespace reshape;
 using bench::time_best_of;
 
 constexpr Bytes kCapacity = 64_kB;
-constexpr std::size_t kShards = 4;
 
 std::vector<pack::Item> make_items(std::size_t n) {
   Rng rng(42);
@@ -123,12 +120,8 @@ int main(int argc, char** argv) {
     const int reps = n <= 100'000 ? 3 : 1;
 
     // Equivalence gate before timing anything.
-    const pack::PackResult ff_ref = pack::first_fit_reference(items, kCapacity);
-    const pack::PackResult ff_tree = pack::first_fit(items, kCapacity);
-    const pack::PackResult bf_ref = pack::best_fit_reference(items, kCapacity);
-    const pack::PackResult bf_set = pack::best_fit(items, kCapacity);
-    if (!identical(ff_ref.bins, ff_tree.bins) ||
-        !identical(bf_ref.bins, bf_set.bins)) {
+    if (!identical(pack::first_fit_reference(items, kCapacity),
+                   pack::first_fit(items, kCapacity))) {
       std::fprintf(stderr, "FATAL: optimized packer diverged from reference "
                            "at n=%zu\n", n);
       all_identical = false;
@@ -141,24 +134,9 @@ int main(int argc, char** argv) {
     const double t_ff_tree = time_best_of(reps, [&] {
       (void)pack::first_fit(items, kCapacity);
     });
-    const double t_bf_ref = time_best_of(reps, [&] {
-      (void)pack::best_fit_reference(items, kCapacity);
-    });
-    const double t_bf_set = time_best_of(reps, [&] {
-      (void)pack::best_fit(items, kCapacity);
-    });
 
     record("first_fit_reference", n, t_ff_ref);
     record("first_fit_tree", n, t_ff_tree);
-    record("best_fit_reference", n, t_bf_ref);
-    record("best_fit_multiset", n, t_bf_set);
-
-    const corpus::Corpus corpus = corpus_of(items);
-    const double t_par = time_best_of(reps, [&] {
-      (void)pack::merge_to_unit_parallel(corpus, kCapacity,
-                                         pack::ItemOrder::kOriginal, kShards);
-    });
-    record("merge_parallel_4shard", n, t_par);
 
     if (n == 10'000) {
       naive_ff_seconds_at_smoke_n = t_ff_ref;
@@ -166,18 +144,6 @@ int main(int argc, char** argv) {
     }
     if (n == 100'000) speedup_at_100k = t_ff_ref / t_ff_tree;
   }
-
-  // Fill-factor delta of the sharded approximation, measured at the
-  // largest n of this run.
-  const std::vector<pack::Item> items = make_items(ns.back());
-  const corpus::Corpus corpus = corpus_of(items);
-  const pack::MergedCorpus seq = pack::merge_to_unit(corpus, kCapacity);
-  const pack::MergedCorpus par = pack::merge_to_unit_parallel(
-      corpus, kCapacity, pack::ItemOrder::kOriginal, kShards);
-  const double fill_delta = seq.fill_factor() - par.fill_factor();
-  std::printf("-- parallel merge fill factor: sequential %.4f, "
-              "%zu-shard %.4f (delta %.4f)\n",
-              seq.fill_factor(), kShards, par.fill_factor(), fill_delta);
 
   FILE* out = std::fopen("BENCH_binpack.json", "w");
   if (out != nullptr) {
@@ -193,28 +159,23 @@ int main(int argc, char** argv) {
                    rows[i].algo.c_str(), rows[i].n, rows[i].seconds,
                    rows[i].items_per_sec, i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(out, "  ],\n");
+    std::fprintf(out, "  ]");
     if (speedup_at_100k > 0.0) {
-      std::fprintf(out, "  \"first_fit_speedup_at_100k\": %.2f,\n",
+      std::fprintf(out, ",\n  \"first_fit_speedup_at_100k\": %.2f",
                    speedup_at_100k);
     }
-    std::fprintf(out,
-                 "  \"parallel\": {\"shards\": %zu, "
-                 "\"fill_factor_sequential\": %.4f, "
-                 "\"fill_factor_parallel\": %.4f, "
-                 "\"fill_factor_delta\": %.4f}\n}\n",
-                 kShards, seq.fill_factor(), par.fill_factor(), fill_delta);
+    std::fprintf(out, "\n}\n");
     std::fclose(out);
     std::printf("wrote BENCH_binpack.json\n");
   }
 
-  // Observability export: one extra (untimed) parallel merge with
-  // recording + wall-clock capture on.  Runs after every timed section so
-  // the benchmark numbers above are never measured with recording active.
+  // Observability export: one extra (untimed) merge with recording +
+  // wall-clock capture on.  Runs after every timed section so the
+  // benchmark numbers above are never measured with recording active.
+  const corpus::Corpus corpus = corpus_of(make_items(ns.back()));
   const int exported = session.record([&] {
     obs::trace().set_wall_capture(true);
-    (void)pack::merge_to_unit_parallel(corpus, kCapacity,
-                                       pack::ItemOrder::kOriginal, kShards);
+    (void)pack::merge_to_unit(corpus, kCapacity);
     obs::trace().set_wall_capture(false);
   });
   if (exported != 0) return exported;

@@ -9,14 +9,16 @@
 // model, plans the deadline and executes on a simulated fleet — printing
 // each stage.  Every run is reproducible from its --seed.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "cloud/app_profile.hpp"
 #include "cloud/provider.hpp"
 #include "cloud/workload.hpp"
+#include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "corpus/corpus.hpp"
@@ -61,14 +63,26 @@ CliOptions parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // The whole value must be a number: "5x", "abc", "10MB" and "-1" are
+    // usage errors, not 5, 0, 10 and 2^64-1.
+    auto number = [&](auto& into) {
+      const std::string text = value();
+      const char* end = text.data() + text.size();
+      const auto [stop, ec] = std::from_chars(text.data(), end, into);
+      if (ec != std::errc{} || stop != end) usage(argv[0]);
+    };
     if (arg == "--corpus") {
       options.corpus = value();
     } else if (arg == "--files") {
-      options.files = std::strtoull(value().c_str(), nullptr, 10);
+      number(options.files);
     } else if (arg == "--unit") {
-      options.unit = Bytes(std::strtoull(value().c_str(), nullptr, 10));
+      std::uint64_t unit = 0;
+      number(unit);
+      options.unit = Bytes(unit);
     } else if (arg == "--deadline") {
-      options.deadline = Seconds(std::strtod(value().c_str(), nullptr));
+      double deadline = 0.0;
+      number(deadline);
+      options.deadline = Seconds(deadline);
     } else if (arg == "--strategy") {
       const std::string s = value();
       if (s == "firstfit") {
@@ -83,7 +97,7 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--app") {
       options.app = value();
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(value().c_str(), nullptr, 10);
+      number(options.seed);
     } else if (arg == "--dynamic") {
       options.dynamic = true;
     } else {
@@ -93,16 +107,14 @@ CliOptions parse(int argc, char** argv) {
   if (options.corpus != "html" && options.corpus != "text") usage(argv[0]);
   if (options.app != "grep" && options.app != "pos") usage(argv[0]);
   if (options.files == 0 || options.unit.count() == 0 ||
+      !std::isfinite(options.deadline.value()) ||
       options.deadline.value() <= 0.0) {
     usage(argv[0]);
   }
   return options;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliOptions cli = parse(argc, argv);
+int run(const CliOptions& cli) {
   const Rng root(cli.seed);
 
   // Corpus.
@@ -206,4 +218,18 @@ int main(int argc, char** argv) {
               report.instance_count(), report.instance_hours,
               report.cost.str().c_str());
   return missed == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions cli = parse(argc, argv);
+  try {
+    return run(cli);
+  } catch (const Error& e) {
+    // Valid flags can still ask for an infeasible plan, e.g. a deadline
+    // below the largest file's processing time.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

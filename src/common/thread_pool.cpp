@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 
-#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
@@ -135,33 +134,6 @@ void ThreadPool::parallel_for(std::size_t n,
       });
     }
     note_enqueued_locked(n);
-  }
-  wake_.notify_all();
-  batch.wait_and_rethrow();
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  RESHAPE_REQUIRE(grain > 0, "grain must be positive");
-  const obs::WallSpan span("pool", "parallel_for_chunked");
-  const std::size_t tasks = (n + grain - 1) / grain;
-  Batch batch(tasks);
-  {
-    const std::lock_guard lock(mutex_);
-    for (std::size_t begin = 0; begin < n; begin += grain) {
-      const std::size_t end = std::min(begin + grain, n);
-      queue_.emplace_back([&batch, &fn, begin, end] {
-        std::exception_ptr err;
-        try {
-          fn(begin, end);
-        } catch (...) {
-          err = std::current_exception();
-        }
-        batch.finish(begin, std::move(err));
-      });
-    }
-    note_enqueued_locked(tasks);
   }
   wake_.notify_all();
   batch.wait_and_rethrow();

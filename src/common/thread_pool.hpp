@@ -61,13 +61,6 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Chunked variant: runs fn(begin, end) over consecutive ranges of at
-  /// most `grain` indices covering [0, n).  One task per chunk instead of
-  /// one per index, so dispatch overhead doesn't swamp small work items.
-  /// `grain` must be positive.
-  void parallel_for(std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
  private:
   void worker_loop();
 

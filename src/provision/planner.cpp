@@ -83,8 +83,7 @@ ExecutionPlan plan(const model::Predictor& predictor,
   std::vector<pack::Bin> bins;
   switch (options.strategy) {
     case PackingStrategy::kFirstFit:
-      bins = pack::pack_into_k(items, instances, x0,
-                               pack::ItemOrder::kOriginal);
+      bins = pack::pack_into_k(items, instances, x0);
       break;
     case PackingStrategy::kUniform:
     case PackingStrategy::kAdjusted:

@@ -8,39 +8,7 @@
 
 namespace reshape::pack {
 
-Bytes PackResult::total_packed() const {
-  Bytes total{0};
-  for (const Bin& b : bins) total += b.used;
-  return total;
-}
-
-double PackResult::mean_utilization() const {
-  if (bins.empty()) return 0.0;
-  double sum = 0.0;
-  for (const Bin& b : bins) {
-    if (b.capacity.count() > 0) {
-      sum += b.used.as_double() / b.capacity.as_double();
-    }
-  }
-  return sum / static_cast<double>(bins.size());
-}
-
-std::size_t PackResult::item_count() const {
-  std::size_t n = 0;
-  for (const Bin& b : bins) n += b.item_ids.size();
-  return n;
-}
-
 namespace {
-
-std::vector<Item> ordered(std::span<const Item> items, ItemOrder order) {
-  std::vector<Item> out(items.begin(), items.end());
-  if (order == ItemOrder::kDecreasing) {
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Item& a, const Item& b) { return a.size > b.size; });
-  }
-  return out;
-}
 
 void place_new_bin(std::vector<Bin>& bins, const Item& item, Bytes capacity) {
   Bin bin;
@@ -51,8 +19,8 @@ void place_new_bin(std::vector<Bin>& bins, const Item& item, Bytes capacity) {
   bins.push_back(std::move(bin));
 }
 
-// The tournament tree / multiset indices keep residuals as signed 64-bit;
-// sizes at or above 2^63 would alias the closed-bin sentinel range.
+// The tournament tree keeps residuals as signed 64-bit; sizes at or above
+// 2^63 would alias the closed-bin sentinel range.
 std::int64_t signed_size(const Item& item) {
   RESHAPE_REQUIRE(
       item.size.count() <=
@@ -63,58 +31,33 @@ std::int64_t signed_size(const Item& item) {
 
 }  // namespace
 
-PackResult first_fit(std::span<const Item> items, Bytes capacity,
-                     ItemOrder order) {
+std::vector<Bin> first_fit(std::span<const Item> items, Bytes capacity) {
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  PackResult result;
-  const std::vector<Item> seq = ordered(items, order);
-  detail::ResidualTree tree(seq.size());
-  for (const Item& item : seq) {
+  std::vector<Bin> bins;
+  detail::ResidualTree tree(items.size());
+  for (const Item& item : items) {
     const std::int64_t need = signed_size(item);
     const std::size_t at = tree.find_first(need);
     if (at != detail::ResidualTree::npos) {
-      Bin& bin = result.bins[at];
+      Bin& bin = bins[at];
       bin.used += item.size;
       bin.item_ids.push_back(item.id);
       tree.deduct(at, need);
     } else {
-      place_new_bin(result.bins, item, capacity);
-      tree.push_bin(static_cast<std::int64_t>(result.bins.back().free().count()));
+      place_new_bin(bins, item, capacity);
+      tree.push_bin(static_cast<std::int64_t>(bins.back().free().count()));
     }
   }
-  return result;
+  return bins;
 }
 
-PackResult best_fit(std::span<const Item> items, Bytes capacity,
-                    ItemOrder order) {
+std::vector<Bin> first_fit_reference(std::span<const Item> items,
+                                     Bytes capacity) {
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  PackResult result;
-  detail::BestFitIndex index;
-  for (const Item& item : ordered(items, order)) {
-    const std::int64_t need = signed_size(item);
-    const std::size_t at = index.tightest(need);
-    if (at != detail::BestFitIndex::npos) {
-      Bin& bin = result.bins[at];
-      const auto free_before = static_cast<std::int64_t>(bin.free().count());
-      bin.used += item.size;
-      bin.item_ids.push_back(item.id);
-      index.update(at, free_before, free_before - need);
-    } else {
-      place_new_bin(result.bins, item, capacity);
-      index.insert(result.bins.size() - 1,
-                   static_cast<std::int64_t>(result.bins.back().free().count()));
-    }
-  }
-  return result;
-}
-
-PackResult first_fit_reference(std::span<const Item> items, Bytes capacity,
-                               ItemOrder order) {
-  RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  PackResult result;
-  for (const Item& item : ordered(items, order)) {
+  std::vector<Bin> bins;
+  for (const Item& item : items) {
     bool placed = false;
-    for (Bin& bin : result.bins) {
+    for (Bin& bin : bins) {
       if (bin.fits(item.size)) {
         bin.used += item.size;
         bin.item_ids.push_back(item.id);
@@ -122,48 +65,13 @@ PackResult first_fit_reference(std::span<const Item> items, Bytes capacity,
         break;
       }
     }
-    if (!placed) place_new_bin(result.bins, item, capacity);
+    if (!placed) place_new_bin(bins, item, capacity);
   }
-  return result;
-}
-
-PackResult best_fit_reference(std::span<const Item> items, Bytes capacity,
-                              ItemOrder order) {
-  RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  PackResult result;
-  for (const Item& item : ordered(items, order)) {
-    Bin* best = nullptr;
-    for (Bin& bin : result.bins) {
-      if (bin.fits(item.size) && (best == nullptr || bin.free() < best->free())) {
-        best = &bin;
-      }
-    }
-    if (best != nullptr) {
-      best->used += item.size;
-      best->item_ids.push_back(item.id);
-    } else {
-      place_new_bin(result.bins, item, capacity);
-    }
-  }
-  return result;
-}
-
-PackResult next_fit(std::span<const Item> items, Bytes capacity) {
-  RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  PackResult result;
-  for (const Item& item : items) {
-    if (!result.bins.empty() && result.bins.back().fits(item.size)) {
-      result.bins.back().used += item.size;
-      result.bins.back().item_ids.push_back(item.id);
-    } else {
-      place_new_bin(result.bins, item, capacity);
-    }
-  }
-  return result;
+  return bins;
 }
 
 std::vector<Bin> pack_into_k(std::span<const Item> items, std::size_t k,
-                             Bytes capacity, ItemOrder order) {
+                             Bytes capacity) {
   RESHAPE_REQUIRE(k > 0, "need at least one bin");
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
   std::vector<Bin> bins(k);
@@ -173,7 +81,7 @@ std::vector<Bin> pack_into_k(std::span<const Item> items, std::size_t k,
     b.capacity = capacity;
     tree.push_bin(static_cast<std::int64_t>(capacity.count()));
   }
-  for (const Item& item : ordered(items, order)) {
+  for (const Item& item : items) {
     const std::int64_t need = signed_size(item);
     std::size_t at = tree.find_first(need);
     if (at == detail::ResidualTree::npos) {
@@ -202,14 +110,6 @@ std::vector<Bin> uniform_bins(std::span<const Item> items, std::size_t k) {
     loads.add(at, item.size.count());
   }
   return bins;
-}
-
-std::size_t bin_lower_bound(std::span<const Item> items, Bytes capacity) {
-  RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  Bytes total{0};
-  for (const Item& item : items) total += item.size;
-  return static_cast<std::size_t>(
-      (total.count() + capacity.count() - 1) / capacity.count());
 }
 
 }  // namespace reshape::pack

@@ -1,11 +1,9 @@
 #include "reshape/merge.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
@@ -85,8 +83,7 @@ double MergedCorpus::fill_factor() const {
          (static_cast<double>(blocks.size()) * unit.as_double());
 }
 
-MergedCorpus merge_to_unit(const corpus::Corpus& corpus, Bytes unit,
-                           ItemOrder order) {
+MergedCorpus merge_to_unit(const corpus::Corpus& corpus, Bytes unit) {
   const obs::WallSpan span("reshape", "merge_sequential");
   std::vector<Item> items;
   items.reserve(corpus.file_count());
@@ -95,50 +92,7 @@ MergedCorpus merge_to_unit(const corpus::Corpus& corpus, Bytes unit,
   }
   MergedCorpus merged;
   merged.unit = unit;
-  merged.blocks = first_fit(items, unit, order).bins;
-  stamp_digests(merged);
-  record_merge_metrics(merged);
-  return merged;
-}
-
-MergedCorpus merge_to_unit_parallel(const corpus::Corpus& corpus, Bytes unit,
-                                    ItemOrder order, std::size_t shards) {
-  RESHAPE_REQUIRE(unit.count() > 0, "unit size must be nonzero");
-  const std::vector<corpus::VirtualFile>& files = corpus.files();
-  if (shards == 0) {
-    shards = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  shards = std::min(shards, std::max<std::size_t>(files.size(), 1));
-  if (shards <= 1) return merge_to_unit(corpus, unit, order);
-  const obs::WallSpan span("reshape", "merge_parallel");
-
-  // Shard s owns files [s * grain, (s + 1) * grain); the chunked
-  // parallel_for hands each worker one whole shard, so the per-task
-  // dispatch cost is amortized over thousands of placements.
-  const std::size_t grain = (files.size() + shards - 1) / shards;
-  std::vector<PackResult> parts((files.size() + grain - 1) / grain);
-  ThreadPool pool(std::min(
-      shards, std::max<std::size_t>(1, std::thread::hardware_concurrency())));
-  pool.parallel_for(files.size(), grain,
-                    [&files, &parts, grain, unit, order](std::size_t begin,
-                                                         std::size_t end) {
-                      const obs::WallSpan shard_span("reshape", "shard");
-                      std::vector<Item> items;
-                      items.reserve(end - begin);
-                      for (std::size_t i = begin; i < end; ++i) {
-                        items.push_back(Item{files[i].id, files[i].size});
-                      }
-                      parts[begin / grain] = first_fit(items, unit, order);
-                    });
-
-  MergedCorpus merged;
-  merged.unit = unit;
-  std::size_t blocks = 0;
-  for (const PackResult& part : parts) blocks += part.bins.size();
-  merged.blocks.reserve(blocks);
-  for (PackResult& part : parts) {
-    for (Bin& bin : part.bins) merged.blocks.push_back(std::move(bin));
-  }
+  merged.blocks = first_fit(items, unit);
   stamp_digests(merged);
   record_merge_metrics(merged);
   return merged;

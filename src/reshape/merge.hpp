@@ -1,14 +1,14 @@
 // Merging corpora into unit-sized blocks, and the probe-set construction
 // procedure of §4.
 //
-// merge_to_unit() is the production path: subset-sum first-fit over the
-// corpus at the desired unit size, producing a MergedCorpus whose blocks
-// are the application's new input files (no application change needed —
-// text concatenates).  derive_multiple() implements the paper's shortcut:
-// probes at s_k = m * s0 are built by concatenating m existing s0 blocks
-// instead of re-running the packer ("convenient since we avoid rerunning
-// the first fit bin packing algorithm, but can be sensitive to the quality
-// of the original bins").
+// merge_to_unit() is the one reshaping path: subset-sum first-fit over the
+// corpus, in file order, at the desired unit size, producing a
+// MergedCorpus whose blocks are the application's new input files (no
+// application change needed — text concatenates).  derive_multiple()
+// implements the paper's shortcut: probes at s_k = m * s0 are built by
+// concatenating m existing s0 blocks instead of re-running the packer
+// ("convenient since we avoid rerunning the first fit bin packing
+// algorithm, but can be sensitive to the quality of the original bins").
 #pragma once
 
 #include <cstdint>
@@ -27,10 +27,10 @@ struct MergedCorpus {
   std::vector<Bin> blocks;
   /// Per-block 64-bit structural digests (`digests[i]` covers
   /// `blocks[i]`): FNV-1a over the block's member file ids and its used
-  /// size.  Stamped at merge time, carried through staging, and verified
-  /// after every simulated transfer so silent corruption is caught
-  /// end-to-end.  Same logical block => same digest, independent of how
-  /// the merge was computed (sequential, sharded, or derived).
+  /// size, stamped by merge_to_unit and derive_multiple.  Same logical
+  /// block => same digest.  Nothing downstream reads them: simulated
+  /// transfers model the digest check through their `verify_integrity`
+  /// flag (cloud/transfer), not by comparing these values.
   std::vector<std::uint64_t> digests;
 
   [[nodiscard]] std::size_t block_count() const { return blocks.size(); }
@@ -56,26 +56,9 @@ struct MergedCorpus {
     const std::vector<std::uint64_t>& expected);
 
 /// Reshapes `corpus` into blocks of at most `unit` bytes via subset-sum
-/// first-fit.  Every file appears in exactly one block.
+/// first-fit in file order.  Every file appears in exactly one block.
 [[nodiscard]] MergedCorpus merge_to_unit(const corpus::Corpus& corpus,
-                                         Bytes unit,
-                                         ItemOrder order = ItemOrder::kOriginal);
-
-/// Sharded parallel reshape: partitions the corpus into `shards`
-/// contiguous file ranges, packs each shard independently on a ThreadPool,
-/// and concatenates the shard blocks in shard order.
-///
-/// This is an *approximation* of the sequential merge: items never cross a
-/// shard boundary, so each shard's tail bins go underfilled and the fill
-/// factor drops slightly (the delta is measured and reported by
-/// bench/micro_binpack in BENCH_binpack.json; typically under 2% for
-/// corpora much larger than shards * unit).  With kDecreasing, items are
-/// sorted within each shard, not globally.  The result depends only on
-/// `shards` — never on thread count or scheduling — and `shards <= 1`
-/// falls back to the exact sequential merge.
-[[nodiscard]] MergedCorpus merge_to_unit_parallel(
-    const corpus::Corpus& corpus, Bytes unit,
-    ItemOrder order = ItemOrder::kOriginal, std::size_t shards = 0);
+                                         Bytes unit);
 
 /// Derives the merge at m * unit by concatenating consecutive groups of m
 /// blocks (the §4 shortcut).

@@ -8,9 +8,6 @@
 //     over per-bin residual capacities.  find_first(need) descends from the
 //     root preferring the left child, so it returns the *leftmost* bin with
 //     residual >= need — exactly the bin naive first-fit would pick.
-//   * BestFitIndex — a balanced multiset keyed on (free space, bin index).
-//     lower_bound((need, 0)) yields the fullest bin that still fits, with
-//     ties broken toward the earliest-opened bin — exactly naive best-fit.
 //   * LoadHeap — a lazy min-heap over (bin load, bin index) for the
 //     least-loaded-bin scans in pack_into_k / uniform_bins.  Loads only
 //     grow, so stale entries surface before fresh ones and are popped.
@@ -20,12 +17,12 @@
 // (non-negative) item size.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -43,8 +40,6 @@ class ResidualTree {
     while (leaves_ < std::max<std::size_t>(max_bins, 1)) leaves_ *= 2;
     tree_.assign(2 * leaves_, kClosed);
   }
-
-  [[nodiscard]] std::size_t bin_count() const { return bins_; }
 
   /// Index of the leftmost bin with residual >= need, or npos.  `need`
   /// must be non-negative (closed bins sit at a negative sentinel).
@@ -70,10 +65,6 @@ class ResidualTree {
     set(bin, tree_[leaves_ + bin] - amount);
   }
 
-  [[nodiscard]] std::int64_t residual(std::size_t bin) const {
-    return tree_[leaves_ + bin];
-  }
-
  private:
   void set(std::size_t bin, std::int64_t value) {
     std::size_t node = leaves_ + bin;
@@ -89,33 +80,6 @@ class ResidualTree {
   std::size_t leaves_ = 1;
   std::size_t bins_ = 0;
   std::vector<std::int64_t> tree_;
-};
-
-/// Balanced multiset of (free space, bin index): tightest-fit queries in
-/// O(log b) with naive best-fit's first-opened tie-break.
-class BestFitIndex {
- public:
-  /// Fullest bin with free >= need (ties: lowest index), or npos.
-  [[nodiscard]] std::size_t tightest(std::int64_t need) const {
-    const auto it = by_free_.lower_bound({need, 0});
-    if (it == by_free_.end()) return npos;
-    return it->second;
-  }
-
-  void insert(std::size_t bin, std::int64_t free) {
-    by_free_.emplace(free, bin);
-  }
-
-  /// Re-keys `bin` from free space `from` to `to`.
-  void update(std::size_t bin, std::int64_t from, std::int64_t to) {
-    by_free_.erase(by_free_.find({from, bin}));
-    by_free_.emplace(to, bin);
-  }
-
-  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
-
- private:
-  std::set<std::pair<std::int64_t, std::size_t>> by_free_;
 };
 
 /// Lazy min-heap over bin loads for least-loaded-bin selection in O(log n)
@@ -136,10 +100,6 @@ class LoadHeap {
   void add(std::size_t bin, std::uint64_t amount) {
     load_[bin] += amount;
     heap_.emplace(load_[bin], bin);
-  }
-
-  [[nodiscard]] std::uint64_t load(std::size_t bin) const {
-    return load_[bin];
   }
 
  private:

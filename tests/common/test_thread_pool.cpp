@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
-
 namespace reshape {
 namespace {
 
@@ -48,39 +46,11 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ChunkedParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, 64, [&hits](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ChunkedParallelForGrainLargerThanRangeIsOneTask) {
+TEST(ThreadPool, ParallelForEmptyRangeNeverCalls) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
-  pool.parallel_for(10, 1000, [&calls](std::size_t begin, std::size_t end) {
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 10u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPool, ChunkedParallelForEmptyRangeNeverCalls) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  pool.parallel_for(0, 8, [&calls](std::size_t, std::size_t) {
-    calls.fetch_add(1);
-  });
+  pool.parallel_for(0, [&calls](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ThreadPool, ChunkedParallelForZeroGrainThrows) {
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.parallel_for(4, 0, [](std::size_t, std::size_t) {}),
-               Error);
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {
@@ -108,22 +78,6 @@ TEST(ThreadPool, ParallelForThrowingTaskDrainsBeforeRethrow) {
                         }),
       std::runtime_error);
   EXPECT_EQ(completed.load(), 63);
-}
-
-TEST(ThreadPool, ChunkedParallelForThrowingTaskDrainsBeforeRethrow) {
-  ThreadPool pool(2);
-  std::atomic<int> covered{0};
-  EXPECT_THROW(pool.parallel_for(100, 7,
-                                 [&covered](std::size_t begin,
-                                            std::size_t end) {
-                                   if (begin == 0) {
-                                     throw std::runtime_error("chunk 0");
-                                   }
-                                   covered.fetch_add(
-                                       static_cast<int>(end - begin));
-                                 }),
-               std::runtime_error);
-  EXPECT_EQ(covered.load(), 93);  // everything except the throwing chunk
 }
 
 TEST(ThreadPool, QueueDepthTracksWaitingTasks) {

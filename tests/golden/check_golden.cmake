@@ -1,15 +1,22 @@
-# Runs one paper figure/table binary and diffs its stdout against the
-# checked-in expectation tests/golden/<name>.txt (the paper-golden label).
+# Runs one paper figure/table binary (or reshape_cli) and diffs its
+# stdout against the checked-in expectation tests/golden/<name>.txt (the
+# paper-golden label).
 #
 #   cmake -DBIN=<binary> -DGOLDEN=<expected.txt> -DACTUAL=<out.txt>
-#         -P check_golden.cmake
+#         [-DARGS="<args>"] [-DEXIT=<status>] -P check_golden.cmake
 #
-# After an intended output change, re-record with
+# EXIT is the exit status the run must end with (default 0).  After an
+# intended output change, re-record with
 #   ./build/bench/<name> > tests/golden/<name>.txt
 # and give the reason in EXPERIMENTS.md.
-execute_process(COMMAND "${BIN}" OUTPUT_FILE "${ACTUAL}" RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${BIN} exited with status ${rc}")
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+if(NOT DEFINED EXIT)
+  set(EXIT 0)
+endif()
+execute_process(COMMAND "${BIN}" ${args} OUTPUT_FILE "${ACTUAL}"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL EXIT)
+  message(FATAL_ERROR "${BIN} ${ARGS} exited with status ${rc}, not ${EXIT}")
 endif()
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E compare_files "${GOLDEN}" "${ACTUAL}"

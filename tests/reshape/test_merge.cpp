@@ -44,59 +44,9 @@ TEST(MergeToUnit, ReducesFileCountDramatically) {
   EXPECT_LT(merged.block_count() * 100, c.file_count());
 }
 
-TEST(MergeToUnitParallel, EveryFileInExactlyOneBlock) {
-  const corpus::Corpus c = sample_corpus();
-  const MergedCorpus merged =
-      merge_to_unit_parallel(c, 1_MB, ItemOrder::kOriginal, 4);
-  std::set<std::uint64_t> seen;
-  for (const Bin& block : merged.blocks) {
-    for (const std::uint64_t id : block.item_ids) {
-      EXPECT_TRUE(seen.insert(id).second);
-    }
-    EXPECT_LE(block.used, block.capacity);
-  }
-  EXPECT_EQ(seen.size(), c.file_count());
-  EXPECT_EQ(merged.total_volume(), c.total_volume());
-}
-
-TEST(MergeToUnitParallel, DeterministicForFixedShardCount) {
-  const corpus::Corpus c = sample_corpus();
-  const MergedCorpus a =
-      merge_to_unit_parallel(c, 500_kB, ItemOrder::kOriginal, 4);
-  const MergedCorpus b =
-      merge_to_unit_parallel(c, 500_kB, ItemOrder::kOriginal, 4);
-  ASSERT_EQ(a.block_count(), b.block_count());
-  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
-    EXPECT_EQ(a.blocks[i].item_ids, b.blocks[i].item_ids);
-  }
-}
-
-TEST(MergeToUnitParallel, OneShardIsExactlySequential) {
-  const corpus::Corpus c = sample_corpus();
-  const MergedCorpus seq = merge_to_unit(c, 1_MB);
-  const MergedCorpus par =
-      merge_to_unit_parallel(c, 1_MB, ItemOrder::kOriginal, 1);
-  ASSERT_EQ(par.block_count(), seq.block_count());
-  for (std::size_t i = 0; i < seq.blocks.size(); ++i) {
-    EXPECT_EQ(par.blocks[i].item_ids, seq.blocks[i].item_ids);
-  }
-}
-
-TEST(MergeToUnitParallel, FillFactorNearSequential) {
-  // The documented approximation: only each shard's tail bins go
-  // underfilled, so the fill factor drop stays small on a corpus much
-  // larger than shards * unit.
-  const corpus::Corpus c = sample_corpus(4000, 3);
-  const MergedCorpus seq = merge_to_unit(c, 1_MB);
-  const MergedCorpus par =
-      merge_to_unit_parallel(c, 1_MB, ItemOrder::kOriginal, 4);
-  EXPECT_GE(par.block_count(), seq.block_count());
-  EXPECT_LT(seq.fill_factor() - par.fill_factor(), 0.15);
-}
-
-TEST(MergeToUnitParallel, InvalidUnitThrows) {
+TEST(MergeToUnit, InvalidUnitThrows) {
   const corpus::Corpus c = sample_corpus(50);
-  EXPECT_THROW((void)merge_to_unit_parallel(c, Bytes(0)), Error);
+  EXPECT_THROW((void)merge_to_unit(c, Bytes(0)), Error);
 }
 
 TEST(DeriveMultiple, ConcatenatesConsecutiveBlocks) {
@@ -167,18 +117,6 @@ TEST(BlockDigests, EveryMergeStampsOnePerBlock) {
     EXPECT_EQ(merged.digests[b], block_digest(merged.blocks[b]));
     EXPECT_NE(merged.digests[b], 0u);
   }
-}
-
-TEST(BlockDigests, SequentialAndOneShardParallelAgree) {
-  // One shard produces the identical partition, so the digests must be
-  // bit-identical too: the digest is a function of the logical block, not
-  // of the code path that built it.
-  const corpus::Corpus c = sample_corpus();
-  const MergedCorpus seq = merge_to_unit(c, 1_MB);
-  const MergedCorpus par =
-      merge_to_unit_parallel(c, 1_MB, ItemOrder::kOriginal, 1);
-  ASSERT_EQ(seq.digests.size(), par.digests.size());
-  EXPECT_EQ(seq.digests, par.digests);
 }
 
 TEST(BlockDigests, DerivedBlocksGetFreshDigests) {
