@@ -26,13 +26,13 @@ namespace {
 
 using namespace reshape;
 
-std::vector<pack::Item> pack_items(std::size_t n) {
+std::vector<corpus::VirtualFile> pack_items(std::size_t n) {
   Rng rng(1);
   const corpus::FileSizeDistribution dist = corpus::text_400k_sizes();
-  std::vector<pack::Item> items;
+  std::vector<corpus::VirtualFile> items;
   items.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    items.push_back(pack::Item{i, dist.sample(rng)});
+    items.push_back(corpus::VirtualFile{i, dist.sample(rng), 1.0});
   }
   return items;
 }

@@ -41,32 +41,22 @@ using bench::time_best_of;
 
 constexpr Bytes kCapacity = 64_kB;
 
-std::vector<pack::Item> make_items(std::size_t n) {
+std::vector<corpus::VirtualFile> make_files(std::size_t n) {
   Rng rng(42);
   const corpus::FileSizeDistribution dist = corpus::text_400k_sizes();
-  std::vector<pack::Item> items;
-  items.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    items.push_back(pack::Item{i, dist.sample(rng)});
-  }
-  return items;
-}
-
-corpus::Corpus corpus_of(const std::vector<pack::Item>& items) {
   std::vector<corpus::VirtualFile> files;
-  files.reserve(items.size());
-  for (const pack::Item& item : items) {
-    files.push_back(corpus::VirtualFile{item.id, item.size, 1.0});
+  files.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    files.push_back(corpus::VirtualFile{i, dist.sample(rng), 1.0});
   }
-  return corpus::Corpus(std::move(files));
+  return files;
 }
 
-bool identical(const std::vector<pack::Bin>& a,
-               const std::vector<pack::Bin>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].capacity != b[i].capacity || a[i].used != b[i].used ||
-        a[i].item_ids != b[i].item_ids) {
+bool identical(const pack::Packing& a, const pack::Packing& b) {
+  if (a.bins.size() != b.bins.size() || a.bin_of != b.bin_of) return false;
+  for (std::size_t i = 0; i < a.bins.size(); ++i) {
+    if (a.bins[i].capacity != b.bins[i].capacity ||
+        a.bins[i].used != b.bins[i].used) {
       return false;
     }
   }
@@ -116,7 +106,7 @@ int main(int argc, char** argv) {
 
   for (const std::size_t n : ns) {
     std::printf("-- n = %zu (capacity %s)\n", n, kCapacity.str().c_str());
-    const std::vector<pack::Item> items = make_items(n);
+    const std::vector<corpus::VirtualFile> items = make_files(n);
     const int reps = n <= 100'000 ? 3 : 1;
 
     // Equivalence gate before timing anything.
@@ -172,7 +162,7 @@ int main(int argc, char** argv) {
   // Observability export: one extra (untimed) merge with recording +
   // wall-clock capture on.  Runs after every timed section so the
   // benchmark numbers above are never measured with recording active.
-  const corpus::Corpus corpus = corpus_of(make_items(ns.back()));
+  const corpus::Corpus corpus(make_files(ns.back()));
   const int exported = session.record([&] {
     obs::trace().set_wall_capture(true);
     (void)pack::merge_to_unit(corpus, kCapacity);

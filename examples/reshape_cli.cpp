@@ -106,7 +106,10 @@ CliOptions parse(int argc, char** argv) {
   }
   if (options.corpus != "html" && options.corpus != "text") usage(argv[0]);
   if (options.app != "grep" && options.app != "pos") usage(argv[0]);
-  if (options.files == 0 || options.unit.count() == 0 ||
+  // The packers index bins with 32 bits; reject a larger corpus here,
+  // before it reaches the allocator.
+  if (options.files == 0 || options.files > pack::kMaxInputs ||
+      options.unit.count() == 0 ||
       !std::isfinite(options.deadline.value()) ||
       options.deadline.value() <= 0.0) {
     usage(argv[0]);

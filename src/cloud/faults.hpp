@@ -23,7 +23,7 @@
 //   * stalls — the read crawls at a fraction of the modelled rate, the
 //     trigger for per-attempt timeouts;
 //   * silent payload corruption — the bytes arrive wrong; only a block
-//     digest check (common/digest) can notice.
+//     digest check (transfer_with_retries' verify_integrity) can notice.
 #pragma once
 
 #include <cstdint>

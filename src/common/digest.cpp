@@ -22,8 +22,4 @@ Digest64& Digest64::update_u64(std::uint64_t v) {
   return *this;
 }
 
-std::uint64_t digest_bytes(std::string_view data) {
-  return Digest64().update(data).value();
-}
-
 }  // namespace reshape

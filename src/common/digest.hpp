@@ -1,12 +1,7 @@
-// 64-bit content digests for end-to-end block integrity.
-//
-// The reshape layer stamps every merged block with a digest at
-// merge/materialize time; the data plane re-checks it after every
-// simulated transfer, so silent payload corruption (cloud/faults) is
-// caught and re-fetched instead of propagating into results.  FNV-1a is
-// used: it is not cryptographic, but it is deterministic across
-// platforms, cheap enough to run per block, and 64 bits is plenty to make
-// an injected corruption visible.
+// 64-bit FNV-1a digests: the planning server hashes model keys and plan
+// fingerprints with them, and the controller its unit admission digests.
+// FNV-1a is not cryptographic, but it is deterministic across platforms
+// and cheap.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +20,5 @@ class Digest64 {
  private:
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
-
-/// One-shot digest of a byte string.
-[[nodiscard]] std::uint64_t digest_bytes(std::string_view data);
 
 }  // namespace reshape

@@ -26,22 +26,23 @@ Bytes ExecutionPlan::total_volume() const {
 
 namespace {
 
-/// Converts packed bins to assignments, carrying complexity means.
-std::vector<Assignment> to_assignments(const std::vector<pack::Bin>& bins,
+/// Converts a packing to assignments, dropping unused bins.  One pass in
+/// file order sums each bin's file count and complexity.
+std::vector<Assignment> to_assignments(const pack::Packing& packing,
                                        const corpus::Corpus& data) {
+  std::vector<std::uint64_t> count(packing.bins.size(), 0);
+  std::vector<double> complexity(packing.bins.size(), 0.0);
+  for (std::size_t i = 0; i < packing.bin_of.size(); ++i) {
+    ++count[packing.bin_of[i]];
+    complexity[packing.bin_of[i]] += data.files()[i].complexity;
+  }
   std::vector<Assignment> assignments;
-  assignments.reserve(bins.size());
-  for (const pack::Bin& bin : bins) {
-    if (bin.item_ids.empty()) continue;  // drop unused bins
+  for (std::size_t b = 0; b < packing.bins.size(); ++b) {
+    if (count[b] == 0) continue;
     Assignment a;
-    a.volume = bin.used;
-    a.file_count = bin.item_ids.size();
-    double complexity = 0.0;
-    for (const std::uint64_t id : bin.item_ids) {
-      complexity += data.files()[id].complexity;
-    }
-    a.mean_complexity =
-        complexity / static_cast<double>(bin.item_ids.size());
+    a.volume = packing.bins[b].used;
+    a.file_count = count[b];
+    a.mean_complexity = complexity[b] / static_cast<double>(count[b]);
     assignments.push_back(a);
   }
   return assignments;
@@ -73,24 +74,11 @@ ExecutionPlan plan(const model::Predictor& predictor,
   plan.per_instance_target = x0;
 
   const std::size_t instances = instances_needed(data.total_volume(), x0);
-  std::vector<pack::Item> items;
-  items.reserve(data.file_count());
-  // Item ids are positional so to_assignments can find complexities.
-  for (std::size_t i = 0; i < data.file_count(); ++i) {
-    items.push_back(pack::Item{i, data.files()[i].size});
-  }
-
-  std::vector<pack::Bin> bins;
-  switch (options.strategy) {
-    case PackingStrategy::kFirstFit:
-      bins = pack::pack_into_k(items, instances, x0);
-      break;
-    case PackingStrategy::kUniform:
-    case PackingStrategy::kAdjusted:
-      bins = pack::uniform_bins(items, instances);
-      break;
-  }
-  plan.assignments = to_assignments(bins, data);
+  const pack::Packing packing =
+      options.strategy == PackingStrategy::kFirstFit
+          ? pack::pack_into_k(data.files(), instances, x0)
+          : pack::uniform_bins(data.files(), instances);
+  plan.assignments = to_assignments(packing, data);
 
   Bytes largest{0};
   for (const Assignment& a : plan.assignments) {

@@ -1,7 +1,6 @@
 #include "reshape/binpack.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
 #include "reshape/pack_index.hpp"
@@ -10,106 +9,115 @@ namespace reshape::pack {
 
 namespace {
 
-void place_new_bin(std::vector<Bin>& bins, const Item& item, Bytes capacity) {
-  Bin bin;
-  // Oversize items are unsplittable: give them a bin of their own size.
-  bin.capacity = std::max(capacity, item.size);
-  bin.used = item.size;
-  bin.item_ids.push_back(item.id);
-  bins.push_back(std::move(bin));
+/// An empty packing of `bins` bins of `capacity`, ready for one bin index
+/// per file.
+Packing start(std::span<const corpus::VirtualFile> files, std::size_t bins,
+              Bytes capacity) {
+  RESHAPE_REQUIRE(files.size() <= kMaxInputs && bins <= kMaxInputs,
+                  "the packer's bin index is 32-bit: at most 2^32-1 inputs");
+  Packing packing;
+  packing.bins.assign(bins, Bin{capacity, Bytes(0)});
+  packing.bin_of.reserve(files.size());
+  return packing;
+}
+
+/// Opens a bin for `size` and returns its index.  Oversize files are
+/// unsplittable: they get a bin of their own size.
+std::uint32_t open_bin(std::vector<Bin>& bins, Bytes size, Bytes capacity) {
+  bins.push_back(Bin{std::max(capacity, size), size});
+  return static_cast<std::uint32_t>(bins.size() - 1);
 }
 
 // The tournament tree keeps residuals as signed 64-bit; sizes at or above
 // 2^63 would alias the closed-bin sentinel range.
-std::int64_t signed_size(const Item& item) {
+std::int64_t signed_size(const corpus::VirtualFile& file) {
   RESHAPE_REQUIRE(
-      item.size.count() <=
+      file.size.count() <=
           static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()),
-      "item size exceeds the packer's 2^63-1 byte limit");
-  return static_cast<std::int64_t>(item.size.count());
+      "file size exceeds the packer's 2^63-1 byte limit");
+  return static_cast<std::int64_t>(file.size.count());
 }
 
 }  // namespace
 
-std::vector<Bin> first_fit(std::span<const Item> items, Bytes capacity) {
+Packing first_fit(std::span<const corpus::VirtualFile> files, Bytes capacity) {
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  std::vector<Bin> bins;
-  detail::ResidualTree tree(items.size());
-  for (const Item& item : items) {
-    const std::int64_t need = signed_size(item);
-    const std::size_t at = tree.find_first(need);
+  Packing packing = start(files, 0, capacity);
+  detail::ResidualTree tree(files.size());
+  for (const corpus::VirtualFile& file : files) {
+    const std::int64_t need = signed_size(file);
+    std::size_t at = tree.find_first(need);
     if (at != detail::ResidualTree::npos) {
-      Bin& bin = bins[at];
-      bin.used += item.size;
-      bin.item_ids.push_back(item.id);
+      packing.bins[at].used += file.size;
       tree.deduct(at, need);
     } else {
-      place_new_bin(bins, item, capacity);
-      tree.push_bin(static_cast<std::int64_t>(bins.back().free().count()));
+      at = open_bin(packing.bins, file.size, capacity);
+      tree.push_bin(static_cast<std::int64_t>(packing.bins[at].free().count()));
     }
+    packing.bin_of.push_back(static_cast<std::uint32_t>(at));
   }
-  return bins;
+  return packing;
 }
 
-std::vector<Bin> first_fit_reference(std::span<const Item> items,
-                                     Bytes capacity) {
+Packing first_fit_reference(std::span<const corpus::VirtualFile> files,
+                            Bytes capacity) {
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  std::vector<Bin> bins;
-  for (const Item& item : items) {
-    bool placed = false;
-    for (Bin& bin : bins) {
-      if (bin.fits(item.size)) {
-        bin.used += item.size;
-        bin.item_ids.push_back(item.id);
-        placed = true;
-        break;
-      }
+  Packing packing = start(files, 0, capacity);
+  for (const corpus::VirtualFile& file : files) {
+    const auto fit = std::find_if(
+        packing.bins.begin(), packing.bins.end(),
+        [&file](const Bin& bin) { return bin.fits(file.size); });
+    std::uint32_t at = 0;
+    if (fit != packing.bins.end()) {
+      fit->used += file.size;
+      at = static_cast<std::uint32_t>(fit - packing.bins.begin());
+    } else {
+      at = open_bin(packing.bins, file.size, capacity);
     }
-    if (!placed) place_new_bin(bins, item, capacity);
+    packing.bin_of.push_back(at);
   }
-  return bins;
+  return packing;
 }
 
-std::vector<Bin> pack_into_k(std::span<const Item> items, std::size_t k,
-                             Bytes capacity) {
+Packing pack_into_k(std::span<const corpus::VirtualFile> files, std::size_t k,
+                    Bytes capacity) {
   RESHAPE_REQUIRE(k > 0, "need at least one bin");
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  std::vector<Bin> bins(k);
+  Packing packing = start(files, k, capacity);
   detail::ResidualTree tree(k);
   detail::LoadHeap loads(k);
-  for (Bin& b : bins) {
-    b.capacity = capacity;
+  for (std::size_t b = 0; b < k; ++b) {
     tree.push_bin(static_cast<std::int64_t>(capacity.count()));
   }
-  for (const Item& item : items) {
-    const std::int64_t need = signed_size(item);
+  for (const corpus::VirtualFile& file : files) {
+    const std::int64_t need = signed_size(file);
     std::size_t at = tree.find_first(need);
     if (at == detail::ResidualTree::npos) {
       // Spill to the least-loaded bin; capacity becomes advisory.
       at = loads.min_index();
     }
-    bins[at].used += item.size;
-    bins[at].item_ids.push_back(item.id);
+    packing.bins[at].used += file.size;
+    packing.bin_of.push_back(static_cast<std::uint32_t>(at));
     tree.deduct(at, need);
-    loads.add(at, item.size.count());
+    loads.add(at, file.size.count());
   }
-  return bins;
+  return packing;
 }
 
-std::vector<Bin> uniform_bins(std::span<const Item> items, std::size_t k) {
+Packing uniform_bins(std::span<const corpus::VirtualFile> files,
+                     std::size_t k) {
   RESHAPE_REQUIRE(k > 0, "need at least one bin");
-  std::vector<Bin> bins(k);
   Bytes total{0};
-  for (const Item& item : items) total += item.size;
-  for (Bin& b : bins) b.capacity = total;  // advisory
+  for (const corpus::VirtualFile& file : files) total += file.size;
+  Packing packing = start(files, k, total);  // capacity is advisory
   detail::LoadHeap loads(k);
-  for (const Item& item : items) {
+  for (const corpus::VirtualFile& file : files) {
     const std::size_t at = loads.min_index();
-    bins[at].used += item.size;
-    bins[at].item_ids.push_back(item.id);
-    loads.add(at, item.size.count());
+    packing.bins[at].used += file.size;
+    packing.bin_of.push_back(static_cast<std::uint32_t>(at));
+    loads.add(at, file.size.count());
   }
-  return bins;
+  return packing;
 }
 
 }  // namespace reshape::pack

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -11,14 +10,6 @@
 namespace reshape::pack {
 
 namespace {
-void stamp_digests(MergedCorpus& merged) {
-  merged.digests.clear();
-  merged.digests.reserve(merged.blocks.size());
-  for (const Bin& bin : merged.blocks) {
-    merged.digests.push_back(block_digest(bin));
-  }
-}
-
 /// Packing-quality tallies for one finished merge.
 void record_merge_metrics(const MergedCorpus& merged) {
   if (!obs::enabled()) return;
@@ -27,43 +18,11 @@ void record_merge_metrics(const MergedCorpus& merged) {
   m.gauge("binpack.fill_factor").set(merged.fill_factor());
   auto& fill = m.histogram("binpack.block_fill",
                            {0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0});
-  const double unit = merged.unit.as_double();
-  if (unit > 0.0) {
-    for (const Bin& bin : merged.blocks) {
-      fill.observe(bin.used.as_double() / unit);
-    }
+  for (const Bin& bin : merged.blocks) {
+    fill.observe(bin.used.as_double() / bin.capacity.as_double());
   }
 }
 }  // namespace
-
-std::uint64_t block_digest(const Bin& bin) {
-  Digest64 d;
-  for (const std::uint64_t id : bin.item_ids) d.update_u64(id);
-  d.update_u64(bin.used.count());
-  return d.value();
-}
-
-std::vector<std::uint64_t> content_digests(
-    const std::vector<std::string>& blocks) {
-  std::vector<std::uint64_t> digests;
-  digests.reserve(blocks.size());
-  for (const std::string& block : blocks) {
-    digests.push_back(digest_bytes(block));
-  }
-  return digests;
-}
-
-std::vector<std::size_t> verify_blocks(
-    const std::vector<std::string>& blocks,
-    const std::vector<std::uint64_t>& expected) {
-  RESHAPE_REQUIRE(blocks.size() == expected.size(),
-                  "digest count does not match block count");
-  std::vector<std::size_t> mismatched;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    if (digest_bytes(blocks[i]) != expected[i]) mismatched.push_back(i);
-  }
-  return mismatched;
-}
 
 Bytes MergedCorpus::total_volume() const {
   Bytes total{0};
@@ -78,22 +37,17 @@ Bytes MergedCorpus::largest_block() const {
 }
 
 double MergedCorpus::fill_factor() const {
-  if (blocks.empty() || unit.count() == 0) return 0.0;
-  return total_volume().as_double() /
-         (static_cast<double>(blocks.size()) * unit.as_double());
+  Bytes capacity{0};
+  for (const Bin& b : blocks) capacity += b.capacity;
+  if (capacity.count() == 0) return 0.0;
+  return total_volume().as_double() / capacity.as_double();
 }
 
 MergedCorpus merge_to_unit(const corpus::Corpus& corpus, Bytes unit) {
   const obs::WallSpan span("reshape", "merge_sequential");
-  std::vector<Item> items;
-  items.reserve(corpus.file_count());
-  for (const corpus::VirtualFile& f : corpus.files()) {
-    items.push_back(Item{f.id, f.size});
-  }
-  MergedCorpus merged;
-  merged.unit = unit;
-  merged.blocks = first_fit(items, unit);
-  stamp_digests(merged);
+  Packing packing = first_fit(corpus.files(), unit);
+  MergedCorpus merged{unit, std::move(packing.bins),
+                      std::move(packing.bin_of)};
   record_merge_metrics(merged);
   return merged;
 }
@@ -105,31 +59,34 @@ MergedCorpus derive_multiple(const MergedCorpus& base, std::uint64_t m) {
   merged.unit = base.unit * m;
   for (std::size_t i = 0; i < base.blocks.size(); i += m) {
     Bin combined;
-    combined.capacity = merged.unit;
     const std::size_t end = std::min(i + m, base.blocks.size());
     for (std::size_t j = i; j < end; ++j) {
       combined.used += base.blocks[j].used;
-      combined.item_ids.insert(combined.item_ids.end(),
-                               base.blocks[j].item_ids.begin(),
-                               base.blocks[j].item_ids.end());
+      combined.capacity += base.blocks[j].capacity;
     }
-    merged.blocks.push_back(std::move(combined));
+    // A group holding oversize blocks keeps their summed capacity.
+    combined.capacity = std::max(combined.capacity, merged.unit);
+    merged.blocks.push_back(combined);
   }
-  stamp_digests(merged);
+  merged.bin_of.reserve(base.bin_of.size());
+  for (const std::uint32_t b : base.bin_of) {
+    merged.bin_of.push_back(static_cast<std::uint32_t>(b / m));
+  }
   return merged;
 }
 
 std::vector<std::string> materialize(const MergedCorpus& merged,
                                      const std::vector<std::string>& texts) {
-  std::vector<std::string> blocks;
-  blocks.reserve(merged.blocks.size());
-  for (const Bin& bin : merged.blocks) {
-    std::string content;
-    for (const std::uint64_t id : bin.item_ids) {
-      RESHAPE_REQUIRE(id < texts.size(), "file id outside texts");
-      content += texts[id];
-    }
-    blocks.push_back(std::move(content));
+  RESHAPE_REQUIRE(texts.size() == merged.bin_of.size(),
+                  "need one text per merged file");
+  std::vector<std::string> blocks(merged.blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    blocks[b].reserve(merged.blocks[b].used.count());
+  }
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    const std::uint32_t b = merged.bin_of[i];
+    RESHAPE_REQUIRE(b < blocks.size(), "file assigned to a missing block");
+    blocks[b] += texts[i];
   }
   return blocks;
 }

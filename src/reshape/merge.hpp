@@ -25,35 +25,16 @@ namespace reshape::pack {
 struct MergedCorpus {
   Bytes unit{0};
   std::vector<Bin> blocks;
-  /// Per-block 64-bit structural digests (`digests[i]` covers
-  /// `blocks[i]`): FNV-1a over the block's member file ids and its used
-  /// size, stamped by merge_to_unit and derive_multiple.  Same logical
-  /// block => same digest.  Nothing downstream reads them: simulated
-  /// transfers model the digest check through their `verify_integrity`
-  /// flag (cloud/transfer), not by comparing these values.
-  std::vector<std::uint64_t> digests;
+  /// `bin_of[i]` is the block that holds the corpus's i-th file.
+  std::vector<std::uint32_t> bin_of;
 
   [[nodiscard]] std::size_t block_count() const { return blocks.size(); }
   [[nodiscard]] Bytes total_volume() const;
   [[nodiscard]] Bytes largest_block() const;
-  /// Mean fill of blocks relative to the unit size.
+  /// Packed volume over the blocks' summed capacities (an oversize
+  /// single-file block's capacity is its own size), so at most 1.
   [[nodiscard]] double fill_factor() const;
 };
-
-/// Structural digest of one packed block: FNV-1a over the member file ids
-/// (in block order) and the used byte count.
-[[nodiscard]] std::uint64_t block_digest(const Bin& bin);
-
-/// Content digests of materialized blocks (FNV-1a over the raw bytes).
-[[nodiscard]] std::vector<std::uint64_t> content_digests(
-    const std::vector<std::string>& blocks);
-
-/// Verifies materialized blocks against expected content digests; returns
-/// the indices that mismatch (empty means intact).  Throws if the counts
-/// differ.
-[[nodiscard]] std::vector<std::size_t> verify_blocks(
-    const std::vector<std::string>& blocks,
-    const std::vector<std::uint64_t>& expected);
 
 /// Reshapes `corpus` into blocks of at most `unit` bytes via subset-sum
 /// first-fit in file order.  Every file appears in exactly one block.
@@ -61,13 +42,14 @@ struct MergedCorpus {
                                          Bytes unit);
 
 /// Derives the merge at m * unit by concatenating consecutive groups of m
-/// blocks (the §4 shortcut).
+/// blocks (the §4 shortcut): block b of `base` becomes block b / m.
 [[nodiscard]] MergedCorpus derive_multiple(const MergedCorpus& base,
                                            std::uint64_t m);
 
 /// Concatenates real file contents according to a merged corpus's blocks.
-/// `texts[i]` is the content of the file with id i; block order follows
-/// the merge.  Used where real bytes matter (profiler, examples).
+/// `texts[i]` is the content of the corpus's i-th file; block order
+/// follows the merge, and each block holds its files in corpus order.
+/// Used where real bytes matter (profiler, examples).
 [[nodiscard]] std::vector<std::string> materialize(
     const MergedCorpus& merged, const std::vector<std::string>& texts);
 

@@ -1,6 +1,6 @@
-// The contract of the O(log b) packers: bit-for-bit identical bin
-// assignments to the naive reference scans, across 1k seeded corpora with
-// varied sizes, zero-size and oversize items.
+// The contract of the O(log b) packers: bit-for-bit identical packings
+// (bin sizes and every file's bin) to the naive reference scans, across 1k
+// seeded corpora with varied sizes, zero-size and oversize items.
 
 #include "reshape/binpack.hpp"
 
@@ -15,29 +15,30 @@
 namespace reshape::pack {
 namespace {
 
-void expect_identical(const std::vector<Bin>& got,
-                      const std::vector<Bin>& want, const char* algo,
-                      std::uint64_t seed) {
-  ASSERT_EQ(got.size(), want.size())
+using Files = std::vector<corpus::VirtualFile>;
+
+void expect_identical(const Packing& got, const Packing& want,
+                      const char* algo, std::uint64_t seed) {
+  ASSERT_EQ(got.bins.size(), want.bins.size())
       << algo << " bin count diverged, seed " << seed;
-  for (std::size_t b = 0; b < got.size(); ++b) {
-    ASSERT_EQ(got[b].capacity, want[b].capacity)
+  for (std::size_t b = 0; b < got.bins.size(); ++b) {
+    ASSERT_EQ(got.bins[b].capacity, want.bins[b].capacity)
         << algo << " bin " << b << " capacity, seed " << seed;
-    ASSERT_EQ(got[b].used, want[b].used)
+    ASSERT_EQ(got.bins[b].used, want.bins[b].used)
         << algo << " bin " << b << " used, seed " << seed;
-    ASSERT_EQ(got[b].item_ids, want[b].item_ids)
-        << algo << " bin " << b << " contents, seed " << seed;
   }
+  ASSERT_EQ(got.bin_of, want.bin_of)
+      << algo << " bin contents diverged, seed " << seed;
 }
 
 /// A small corpus with the long-tail size distribution, plus injected
 /// oversize items (several times the largest capacity under test) and
 /// occasional zero-size files.
-std::vector<Item> fuzz_items(Rng& rng) {
+Files fuzz_items(Rng& rng) {
   const corpus::FileSizeDistribution dist = corpus::text_400k_sizes();
   const std::size_t n =
       1 + static_cast<std::size_t>(rng.uniform_int(0, 299));
-  std::vector<Item> items;
+  Files items;
   items.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     Bytes size = dist.sample(rng);
@@ -47,7 +48,7 @@ std::vector<Item> fuzz_items(Rng& rng) {
     } else if (roll < 0.08) {
       size = Bytes(0);
     }
-    items.push_back(Item{i, size});
+    items.push_back({i, size, 1.0});
   }
   return items;
 }
@@ -61,7 +62,7 @@ Bytes fuzz_capacity(Rng& rng) {
 TEST(PackEquivalence, TreeFirstFitMatchesReferenceAcross1kCorpora) {
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
     Rng rng(seed);
-    const std::vector<Item> items = fuzz_items(rng);
+    const Files items = fuzz_items(rng);
     const Bytes cap = fuzz_capacity(rng);
     expect_identical(first_fit(items, cap), first_fit_reference(items, cap),
                      "first_fit", seed);
@@ -72,49 +73,48 @@ TEST(PackEquivalence, TreeFirstFitMatchesReferenceAcross1kCorpora) {
 // tree + lazy min-heap; pin them to inline transcriptions of the original
 // loops.
 
-std::vector<Bin> naive_pack_into_k(std::span<const Item> items, std::size_t k,
-                                   Bytes capacity) {
-  std::vector<Bin> bins(k);
-  for (Bin& b : bins) b.capacity = capacity;
-  for (const Item& item : items) {
-    Bin* target = nullptr;
-    for (Bin& bin : bins) {
-      if (bin.fits(item.size)) {
-        target = &bin;
-        break;
-      }
-    }
-    if (target == nullptr) {
-      target = &*std::min_element(
-          bins.begin(), bins.end(),
-          [](const Bin& a, const Bin& b) { return a.used < b.used; });
-    }
-    target->used += item.size;
-    target->item_ids.push_back(item.id);
-  }
-  return bins;
+bool less_used(const Bin& a, const Bin& b) { return a.used < b.used; }
+
+void place(Packing& packing, std::vector<Bin>::iterator target, Bytes size) {
+  target->used += size;
+  packing.bin_of.push_back(
+      static_cast<std::uint32_t>(target - packing.bins.begin()));
 }
 
-std::vector<Bin> naive_uniform_bins(std::span<const Item> items,
-                                    std::size_t k) {
-  std::vector<Bin> bins(k);
-  Bytes total{0};
-  for (const Item& item : items) total += item.size;
-  for (Bin& b : bins) b.capacity = total;
-  for (const Item& item : items) {
-    Bin& target = *std::min_element(
+Packing naive_pack_into_k(const Files& items, std::size_t k, Bytes capacity) {
+  Packing packing;
+  packing.bins.assign(k, Bin{capacity, Bytes(0)});
+  auto& bins = packing.bins;
+  for (const corpus::VirtualFile& item : items) {
+    auto target = std::find_if(
         bins.begin(), bins.end(),
-        [](const Bin& a, const Bin& b) { return a.used < b.used; });
-    target.used += item.size;
-    target.item_ids.push_back(item.id);
+        [&item](const Bin& bin) { return bin.fits(item.size); });
+    if (target == bins.end()) {
+      target = std::min_element(bins.begin(), bins.end(), less_used);
+    }
+    place(packing, target, item.size);
   }
-  return bins;
+  return packing;
+}
+
+Packing naive_uniform_bins(const Files& items, std::size_t k) {
+  Bytes total{0};
+  for (const corpus::VirtualFile& item : items) total += item.size;
+  Packing packing;
+  packing.bins.assign(k, Bin{total, Bytes(0)});
+  for (const corpus::VirtualFile& item : items) {
+    place(packing,
+          std::min_element(packing.bins.begin(), packing.bins.end(),
+                           less_used),
+          item.size);
+  }
+  return packing;
 }
 
 TEST(PackEquivalence, FixedBinPackersMatchNaiveScans) {
   for (std::uint64_t seed = 2000; seed < 2200; ++seed) {
     Rng rng(seed);
-    const std::vector<Item> items = fuzz_items(rng);
+    const Files items = fuzz_items(rng);
     const Bytes cap = fuzz_capacity(rng);
     const std::size_t k =
         1 + static_cast<std::size_t>(rng.uniform_int(0, 15));

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -16,17 +17,32 @@ corpus::Corpus sample_corpus(std::size_t n = 2000, std::uint64_t seed = 1) {
   return corpus::Corpus::generate(corpus::text_400k_sizes(), n, rng);
 }
 
+/// Every file of `c` sits in exactly one existing block, and each block's
+/// `used` is the sum of its files.
+void expect_partition(const corpus::Corpus& c, const MergedCorpus& merged) {
+  ASSERT_EQ(merged.bin_of.size(), c.file_count());
+  std::vector<Bytes> used(merged.block_count(), Bytes(0));
+  for (std::size_t i = 0; i < c.file_count(); ++i) {
+    ASSERT_LT(merged.bin_of[i], merged.block_count());
+    used[merged.bin_of[i]] += c.files()[i].size;
+  }
+  for (std::size_t b = 0; b < merged.block_count(); ++b) {
+    EXPECT_EQ(used[b], merged.blocks[b].used) << "block " << b;
+  }
+  EXPECT_EQ(merged.total_volume(), c.total_volume());
+}
+
+corpus::Corpus corpus_of(const std::vector<std::string>& texts) {
+  std::vector<corpus::VirtualFile> files;
+  for (std::uint64_t i = 0; i < texts.size(); ++i) {
+    files.push_back(corpus::VirtualFile{i, Bytes(texts[i].size()), 1.0});
+  }
+  return corpus::Corpus{std::move(files)};
+}
+
 TEST(MergeToUnit, EveryFileInExactlyOneBlock) {
   const corpus::Corpus c = sample_corpus();
-  const MergedCorpus merged = merge_to_unit(c, 1_MB);
-  std::set<std::uint64_t> seen;
-  for (const Bin& block : merged.blocks) {
-    for (const std::uint64_t id : block.item_ids) {
-      EXPECT_TRUE(seen.insert(id).second);
-    }
-  }
-  EXPECT_EQ(seen.size(), c.file_count());
-  EXPECT_EQ(merged.total_volume(), c.total_volume());
+  expect_partition(c, merge_to_unit(c, 1_MB));
 }
 
 TEST(MergeToUnit, BlocksRespectUnit) {
@@ -49,6 +65,18 @@ TEST(MergeToUnit, InvalidUnitThrows) {
   EXPECT_THROW((void)merge_to_unit(c, Bytes(0)), Error);
 }
 
+TEST(MergeToUnit, OversizeFileKeepsFillAtMostOne) {
+  // A file above the unit gets a block of its own size: that block is
+  // full, not 2.5x full.
+  const corpus::Corpus c = corpus_of({"aa", std::string(25, 'x'), "bbb"});
+  const MergedCorpus merged = merge_to_unit(c, Bytes(10));
+  ASSERT_EQ(merged.block_count(), 2u);
+  EXPECT_EQ(merged.blocks[1].capacity, Bytes(25));
+  EXPECT_EQ(merged.bin_of, (std::vector<std::uint32_t>{0, 1, 0}));
+  EXPECT_DOUBLE_EQ(merged.fill_factor(), 30.0 / 35.0);
+  EXPECT_LE(merged.fill_factor(), 1.0);
+}
+
 TEST(DeriveMultiple, ConcatenatesConsecutiveBlocks) {
   const corpus::Corpus c = sample_corpus();
   const MergedCorpus base = merge_to_unit(c, 500_kB);
@@ -59,6 +87,7 @@ TEST(DeriveMultiple, ConcatenatesConsecutiveBlocks) {
   // m == 1 is the identity.
   const MergedCorpus same = derive_multiple(base, 1);
   EXPECT_EQ(same.block_count(), base.block_count());
+  EXPECT_EQ(same.bin_of, base.bin_of);
   EXPECT_THROW((void)derive_multiple(base, 0), Error);
 }
 
@@ -66,23 +95,15 @@ TEST(DeriveMultiple, PreservesItemPartition) {
   const corpus::Corpus c = sample_corpus(500, 7);
   const MergedCorpus base = merge_to_unit(c, 200_kB);
   const MergedCorpus m4 = derive_multiple(base, 4);
-  std::set<std::uint64_t> seen;
-  for (const Bin& block : m4.blocks) {
-    for (const std::uint64_t id : block.item_ids) {
-      EXPECT_TRUE(seen.insert(id).second);
-    }
+  expect_partition(c, m4);
+  for (std::size_t i = 0; i < c.file_count(); ++i) {
+    EXPECT_EQ(m4.bin_of[i], base.bin_of[i] / 4) << "file " << i;
   }
-  EXPECT_EQ(seen.size(), c.file_count());
 }
 
 TEST(Materialize, ConcatenatesRealBytes) {
-  std::vector<corpus::VirtualFile> files;
-  std::vector<std::string> texts{"aaa", "bb", "cccc", "d"};
-  for (std::uint64_t i = 0; i < texts.size(); ++i) {
-    files.push_back(corpus::VirtualFile{i, Bytes(texts[i].size()), 1.0});
-  }
-  const corpus::Corpus c{std::move(files)};
-  const MergedCorpus merged = merge_to_unit(c, Bytes(5));
+  const std::vector<std::string> texts{"aaa", "bb", "cccc", "d"};
+  const MergedCorpus merged = merge_to_unit(corpus_of(texts), Bytes(5));
   const std::vector<std::string> blocks = materialize(merged, texts);
   ASSERT_EQ(blocks.size(), merged.block_count());
   std::size_t total = 0;
@@ -91,14 +112,19 @@ TEST(Materialize, ConcatenatesRealBytes) {
     total += blocks[b].size();
   }
   EXPECT_EQ(total, 10u);  // all bytes survive the merge
+  // Each block holds its files in corpus order.
+  EXPECT_EQ(blocks, (std::vector<std::string>{"aaabb", "ccccd"}));
 }
 
 TEST(Materialize, BadIdThrows) {
   MergedCorpus merged;
   merged.unit = Bytes(10);
-  Bin bad;
-  bad.item_ids.push_back(99);
-  merged.blocks.push_back(bad);
+  merged.blocks.push_back(Bin{Bytes(10), Bytes(8)});
+  merged.bin_of = {0};
+  // One text per merged file.
+  EXPECT_THROW((void)materialize(merged, {"only-one", "extra"}), Error);
+  // A file assigned to a block that does not exist.
+  merged.bin_of = {1};
   EXPECT_THROW((void)materialize(merged, {"only-one"}), Error);
 }
 
@@ -107,61 +133,6 @@ TEST(MergedCorpus, EmptyAccessors) {
   EXPECT_EQ(empty.block_count(), 0u);
   EXPECT_EQ(empty.total_volume(), 0_B);
   EXPECT_DOUBLE_EQ(empty.fill_factor(), 0.0);
-}
-
-TEST(BlockDigests, EveryMergeStampsOnePerBlock) {
-  const corpus::Corpus c = sample_corpus();
-  const MergedCorpus merged = merge_to_unit(c, 1_MB);
-  ASSERT_EQ(merged.digests.size(), merged.block_count());
-  for (std::size_t b = 0; b < merged.block_count(); ++b) {
-    EXPECT_EQ(merged.digests[b], block_digest(merged.blocks[b]));
-    EXPECT_NE(merged.digests[b], 0u);
-  }
-}
-
-TEST(BlockDigests, DerivedBlocksGetFreshDigests) {
-  const corpus::Corpus c = sample_corpus();
-  const MergedCorpus base = merge_to_unit(c, 500_kB);
-  const MergedCorpus doubled = derive_multiple(base, 2);
-  ASSERT_EQ(doubled.digests.size(), doubled.block_count());
-  for (std::size_t b = 0; b < doubled.block_count(); ++b) {
-    EXPECT_EQ(doubled.digests[b], block_digest(doubled.blocks[b]));
-  }
-}
-
-TEST(BlockDigests, DistinctBlocksDisagree) {
-  const corpus::Corpus c = sample_corpus();
-  const MergedCorpus merged = merge_to_unit(c, 1_MB);
-  ASSERT_GE(merged.block_count(), 2u);
-  std::set<std::uint64_t> unique(merged.digests.begin(),
-                                 merged.digests.end());
-  // FNV-1a over distinct id sets: collisions across a few hundred blocks
-  // would indicate a broken update loop, not bad luck.
-  EXPECT_EQ(unique.size(), merged.digests.size());
-}
-
-TEST(ContentDigests, CatchAFlippedByte) {
-  std::vector<corpus::VirtualFile> files;
-  std::vector<std::string> texts{"aaa", "bb", "cccc", "d"};
-  for (std::uint64_t i = 0; i < texts.size(); ++i) {
-    files.push_back(corpus::VirtualFile{i, Bytes(texts[i].size()), 1.0});
-  }
-  const corpus::Corpus c{std::move(files)};
-  const MergedCorpus merged = merge_to_unit(c, Bytes(5));
-  std::vector<std::string> blocks = materialize(merged, texts);
-  const std::vector<std::uint64_t> expected = content_digests(blocks);
-  EXPECT_TRUE(verify_blocks(blocks, expected).empty());
-
-  blocks[1][0] ^= 0x01;  // one silently corrupted bit
-  const std::vector<std::size_t> bad = verify_blocks(blocks, expected);
-  ASSERT_EQ(bad.size(), 1u);
-  EXPECT_EQ(bad[0], 1u);
-}
-
-TEST(ContentDigests, CountMismatchThrows) {
-  const std::vector<std::string> blocks{"x", "y"};
-  const std::vector<std::uint64_t> expected = content_digests({"x"});
-  EXPECT_THROW((void)verify_blocks(blocks, expected), Error);
 }
 
 }  // namespace
