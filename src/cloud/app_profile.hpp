@@ -12,8 +12,8 @@
 //  * memory pressure growing with unit file size (the reason merging does
 //    NOT help the memory-bound POS tagger — Fig. 7).
 //
-// Profiles may be hand-specified from the paper's constants or measured
-// from the real scanner/tagger via textproc::AppProfiler.
+// Profiles are constants taken from the paper (grep_profile, pos_profile),
+// so every figure is independent of the host it runs on.
 #pragma once
 
 #include <string>

@@ -1,11 +1,8 @@
 #include "cloud/ebs.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 
 namespace reshape::cloud {
 
@@ -95,29 +92,6 @@ Rate EbsVolume::effective_rate(Bytes offset, Bytes length,
   const double factor = placement_factor(offset, length);
   const Rate path = Rate(model_.base_rate.bytes_per_second() / factor);
   return std::min(path, instance_io);
-}
-
-TransferOutcome EbsVolume::read_result(Bytes offset, Bytes length,
-                                       Rate instance_io, Seconds when,
-                                       Rng& rng, const FaultInjector& faults,
-                                       const RetryPolicy& policy,
-                                       bool verify_integrity) const {
-  const Seconds base = effective_rate(offset, length, instance_io)
-                           .time_for(length) *
-                       degradation_factor(when);
-  const TransferChannel channel{
-      // EBS reads are deterministic given placement: no per-attempt jitter.
-      [base](Rng&) { return base; },
-      // A failed request dies after a short block-device round trip.
-      [](Rng&) { return Seconds(0.005); }};
-  const std::string key = "vol/" + std::to_string(id_.value) + "/" +
-                          std::to_string(offset.count());
-  if (obs::enabled()) {
-    obs::metrics().counter("ebs.reads").add(1);
-    obs::metrics().counter("ebs.bytes_read").add(length.count());
-  }
-  return transfer_with_retries(faults, key, policy, verify_integrity, channel,
-                               rng);
 }
 
 }  // namespace reshape::cloud

@@ -15,9 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cloud/transfer.hpp"
 #include "cloud/types.hpp"
-#include "common/retry.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -79,20 +77,6 @@ class EbsVolume {
   /// Throughput divisor active at `when` (1.0 outside any episode;
   /// overlapping episodes compound).
   [[nodiscard]] double degradation_factor(Seconds when) const;
-
-  /// Attempt-aware read of the extent through the data-plane fault layer,
-  /// retried under `policy`.  The fault stream is keyed on
-  /// `vol/<id>/<offset>`, so re-reading the same extent replays the same
-  /// fault history.  With the zero fault model this is one attempt whose
-  /// cost equals `effective_rate(...).time_for(length)` scaled by the
-  /// degradation factor at `when`.
-  [[nodiscard]] TransferOutcome read_result(Bytes offset, Bytes length,
-                                            Rate instance_io, Seconds when,
-                                            Rng& rng,
-                                            const FaultInjector& faults,
-                                            const RetryPolicy& policy,
-                                            bool verify_integrity = true)
-      const;
 
  private:
   struct DegradationEpisode {

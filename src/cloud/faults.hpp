@@ -22,8 +22,9 @@
 //   * transient request errors — the request fails fast (throttle, reset);
 //   * stalls — the read crawls at a fraction of the modelled rate, the
 //     trigger for per-attempt timeouts;
-//   * silent payload corruption — the bytes arrive wrong; only a block
-//     digest check (transfer_with_retries' verify_integrity) can notice.
+//   * silent payload corruption — the bytes arrive wrong; the retry
+//     engine's block-digest check (transfer_with_retries) rejects the
+//     payload and retries.
 #pragma once
 
 #include <cstdint>

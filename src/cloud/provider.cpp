@@ -14,7 +14,7 @@ CloudProvider::CloudProvider(sim::Simulation& sim, Rng root,
     : sim_(sim), root_(root), lifecycle_noise_(root.split("lifecycle")),
       bench_noise_(root.split("disk-bench")), config_(config),
       quality_(root.split("quality"), config.mixture),
-      injector_(root.split("faults"), config.faults), s3_(config.s3) {}
+      injector_(root.split("faults"), config.faults) {}
 
 Seconds CloudProvider::draw_boot_delay() {
   const double drawn = lifecycle_noise_.normal(config_.boot_mean.value(),

@@ -1,7 +1,7 @@
 // CloudProvider: the EC2 control-plane facade.
 //
-// Owns the fleet, the EBS volumes, the object store and the billing meter,
-// and drives lifecycle transitions on the shared discrete-event simulation.
+// Owns the fleet, the EBS volumes and the billing meter, and drives
+// lifecycle transitions on the shared discrete-event simulation.
 // Every stochastic element (boot delays, instance qualities, benchmark
 // noise) flows from named child streams of one root Rng, so a provider
 // constructed with the same seed replays identically.
@@ -59,7 +59,6 @@ class CloudProvider {
   /// obs cost attributor, in ascending instance-id order.
   [[nodiscard]] std::vector<obs::profile::InstanceCostRecord> cost_records(
       Seconds now) const;
-  [[nodiscard]] ObjectStore& s3() { return s3_; }
   [[nodiscard]] const ProviderConfig& config() const { return config_; }
 
   /// Requests an instance: it enters `pending` now and `running` after the
@@ -156,7 +155,6 @@ class CloudProvider {
   QualityModel quality_;
   FaultInjector injector_;
   BillingMeter billing_;
-  ObjectStore s3_;
   // Per-instance state lives in dense pools indexed by id (ids are
   // sequential from 1): the fleet is a deque slab (stable references, no
   // per-instance heap node, no hashing on the lifecycle hot path) and the

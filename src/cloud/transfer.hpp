@@ -1,17 +1,15 @@
 // The data-plane retry engine.
 //
-// One logical transfer (an S3 GET/PUT, an EBS extent read) is executed as
-// a sequence of attempts under a RetryPolicy.  Each attempt's fate is an
-// injected TransferFault drawn purely from (injector seed, key, attempt),
-// so any faulty scenario replays bit-identically; the time of each attempt
-// comes from the caller's channel model, drawn from the caller's rng
-// stream.  With the zero fault model the engine performs exactly one
-// attempt and exactly the draws the un-retried code path would have made,
-// keeping every existing report byte-identical.
-//
-// Hedging implements the paper's §1.1 parallel-access property: S3 serves
-// concurrent requests independently, so duplicating a straggling download
-// and taking the first winner costs no extra queueing in the model.
+// One logical transfer (an instance's staging, one S3 result download) is
+// executed as a sequence of attempts under a RetryPolicy.  Each attempt's
+// fate is an injected TransferFault drawn purely from (injector seed, key,
+// attempt), so any faulty scenario replays bit-identically; the time of
+// each attempt comes from the caller's channel model, drawn from the
+// caller's rng stream.  With the zero fault model the engine performs
+// exactly one attempt and exactly the draws the un-retried code path would
+// have made, keeping every existing report byte-identical.  Every
+// attempt's payload is checked against its block digest, so silent
+// corruption always surfaces as a detected, retried error.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +42,6 @@ struct TransferAttempt {
   Seconds duration{0.0};  // wall time the attempt itself consumed
   TransferErrorKind error = TransferErrorKind::kNone;
   bool ok = false;
-  bool hedge = false;  // attempt belongs to the hedged duplicate stream
 };
 
 /// Outcome of one logical transfer across all of its attempts.
@@ -60,10 +57,6 @@ struct TransferOutcome {
   int timeouts = 0;
   int stalls = 0;  // stalls endured to completion (no timeout configured)
   int corruptions_detected = 0;
-  /// A corrupt payload was delivered because nothing verified it.
-  bool delivered_corrupt = false;
-  /// The hedged duplicate finished first.
-  bool hedge_won = false;
   /// Per-attempt record, populated only while obs recording is enabled
   /// (empty otherwise — the zero-overhead contract).
   std::vector<TransferAttempt> attempt_trace;
@@ -76,31 +69,16 @@ struct TransferOutcome {
 
 /// Runs one transfer under the policy.  `key` names the transfer for the
 /// injector's pure fault draws — distinct logical transfers must use
-/// distinct keys or they will share a fault history.  `verify_integrity`
-/// models a block-digest check after each attempt: with it, corruption is
-/// detected and retried; without it, corrupt payloads are delivered.
+/// distinct keys or they will share a fault history.
 [[nodiscard]] TransferOutcome transfer_with_retries(
     const FaultInjector& faults, std::string_view key,
-    const RetryPolicy& policy, bool verify_integrity,
-    const TransferChannel& channel, Rng& rng);
-
-/// Races two independent copies of the transfer (fault streams `key` and
-/// `key#hedge`) and returns the first winner; both must exhaust their
-/// budgets for the hedged transfer to fail.  Attempt and error counters
-/// aggregate over both copies; `time` is the winner's wall clock.
-[[nodiscard]] TransferOutcome hedged_transfer(const FaultInjector& faults,
-                                              std::string_view key,
-                                              const RetryPolicy& policy,
-                                              bool verify_integrity,
-                                              const TransferChannel& channel,
-                                              Rng& rng);
+    const RetryPolicy& policy, const TransferChannel& channel, Rng& rng);
 
 /// Emits the trace spans for one finished transfer: a parent span over
 /// the whole [start, start + outcome.time] window plus one child span per
-/// recorded attempt (hedged attempts flagged in their args).  The retry
-/// engine has no notion of sim time — callers own the clock, so they
-/// supply the start.  No-op when recording is off or no attempts were
-/// recorded.
+/// recorded attempt.  The retry engine has no notion of sim time — callers
+/// own the clock, so they supply the start.  No-op when recording is off or
+/// no attempts were recorded.
 void record_transfer_trace(std::uint32_t pid, std::uint32_t tid,
                            std::string_view name, Seconds start,
                            const TransferOutcome& outcome);

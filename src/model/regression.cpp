@@ -1,6 +1,5 @@
 #include "model/regression.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -84,13 +83,6 @@ std::string AffineFit::str() const {
 
 double PowerFit::predict(double x) const { return a * std::pow(x, b); }
 
-double PowerLogFit::predict(double x) const {
-  const double lx = std::log(x);
-  return std::exp(a * lx * lx + b * lx);
-}
-
-double ExponentialFit::predict(double x) const { return a * std::exp(b * x); }
-
 AffineFit fit_affine(std::span<const double> xs, std::span<const double> ys) {
   check_input(xs, ys, 2);
   AffineFit fit;
@@ -139,21 +131,6 @@ std::vector<double> volume_weights(std::span<const double> xs) {
   return w;
 }
 
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
-  check_input(xs, ys, 1);
-  require_positive(xs, "x");
-  require_positive(ys, "y");
-  // Y = ln a + X: ln a is the mean of (Y - X).
-  double sum = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sum += std::log(ys[i]) - std::log(xs[i]);
-  }
-  LinearFit fit;
-  fit.a = std::exp(sum / static_cast<double>(xs.size()));
-  fit.quality = quality_of(xs, ys, [&](double x) { return fit.predict(x); });
-  return fit;
-}
-
 PowerFit fit_power(std::span<const double> xs, std::span<const double> ys) {
   check_input(xs, ys, 2);
   require_positive(xs, "x");
@@ -166,84 +143,6 @@ PowerFit fit_power(std::span<const double> xs, std::span<const double> ys) {
   fit.b = c1;
   fit.quality = quality_of(xs, ys, [&](double x) { return fit.predict(x); });
   return fit;
-}
-
-PowerLogFit fit_powerlog(std::span<const double> xs,
-                         std::span<const double> ys) {
-  check_input(xs, ys, 2);
-  require_positive(xs, "x");
-  require_positive(ys, "y");
-  // Y = a·X² + b·X with no intercept: normal equations in (X², X).
-  double s22 = 0.0, s21 = 0.0, s11 = 0.0, sy2 = 0.0, sy1 = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double X = std::log(xs[i]);
-    const double Y = std::log(ys[i]);
-    const double X2 = X * X;
-    s22 += X2 * X2;
-    s21 += X2 * X;
-    s11 += X * X;
-    sy2 += Y * X2;
-    sy1 += Y * X;
-  }
-  const double det = s22 * s11 - s21 * s21;
-  RESHAPE_REQUIRE(std::abs(det) > 1e-30, "degenerate inputs for power-log fit");
-  PowerLogFit fit;
-  fit.a = (sy2 * s11 - sy1 * s21) / det;
-  fit.b = (s22 * sy1 - s21 * sy2) / det;
-  fit.quality = quality_of(xs, ys, [&](double x) { return fit.predict(x); });
-  return fit;
-}
-
-ExponentialFit fit_exponential(std::span<const double> xs,
-                               std::span<const double> ys) {
-  check_input(xs, ys, 2);
-  require_positive(ys, "y");
-  const std::vector<double> ly = log_of(ys);
-  const auto [c0, c1] = ols(xs, ly);
-  ExponentialFit fit;
-  fit.a = std::exp(c0);
-  fit.b = c1;
-  fit.quality = quality_of(xs, ys, [&](double x) { return fit.predict(x); });
-  return fit;
-}
-
-std::string_view to_string(ModelFamily family) {
-  switch (family) {
-    case ModelFamily::kLinear: return "linear";
-    case ModelFamily::kPower: return "power";
-    case ModelFamily::kPowerLog: return "power-log";
-    case ModelFamily::kExponential: return "exponential";
-  }
-  return "?";
-}
-
-ModelSelection select_model(std::span<const double> xs,
-                            std::span<const double> ys) {
-  check_input(xs, ys, 2);
-  const bool xs_positive =
-      std::all_of(xs.begin(), xs.end(), [](double v) { return v > 0.0; });
-  const bool ys_positive =
-      std::all_of(ys.begin(), ys.end(), [](double v) { return v > 0.0; });
-  RESHAPE_REQUIRE(ys_positive,
-                  "model selection needs positive observations");
-
-  ModelSelection best;
-  best.family = ModelFamily::kExponential;
-  best.r2 = fit_exponential(xs, ys).quality.r2;
-  // The log-x families only apply on positive domains (§5 fits volumes,
-  // which always are; callers with x = 0 get the exponential family only).
-  if (xs_positive) {
-    if (const double r2 = fit_linear(xs, ys).quality.r2; r2 >= best.r2) {
-      best = {ModelFamily::kLinear, r2};
-    }
-    if (const double r2 = fit_power(xs, ys).quality.r2; r2 > best.r2) {
-      best = {ModelFamily::kPower, r2};
-    }
-    if (const double r2 = fit_powerlog(xs, ys).quality.r2; r2 > best.r2) {
-      best = {ModelFamily::kPowerLog, r2};
-    }
-  }
-  return best;
 }
 
 }  // namespace reshape::model

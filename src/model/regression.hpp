@@ -1,16 +1,11 @@
 // Regression machinery for the empirical performance model (§5).
 //
-// The paper fits execution time as a function of data volume, working in
-// logarithmic space because "our data points are not nearly equidistant",
-// and considers three model families:
-//
-//   (1) linear      y = a·x        (log space: Y = ln a + X)
-//   (2) power law   y = a·x^b      (log space: Y = ln a + b·X), plus the
-//       variant Y = a·X² + b·X     (original space: y = x^{a·ln x + b})
-//   (3) exponential y = a·e^{b·x}  (log space: Y = ln a + b·x)
-//
-// The reported fits — Eqs. (1)-(4) — are affine (y = c0 + c1·x), which is
-// also provided and is the planner's workhorse.
+// The paper fits execution time as a function of data volume.  Its
+// reported fits — Eqs. (1)-(4) — are affine, y = c0 + c1·x: `fit_affine`
+// is the planner's workhorse (Predictor), and `fit_affine_weighted` with
+// `volume_weights` is §7's proposed refinement (Fig. 6).  The paper also
+// works in logarithmic space because "our data points are not nearly
+// equidistant"; `fit_power` fits the power law y = a·x^b there.
 #pragma once
 
 #include <span>
@@ -37,31 +32,8 @@ struct AffineFit {
   [[nodiscard]] std::string str() const;
 };
 
-/// y = a·x (through the origin), fitted in log space.
-struct LinearFit {
-  double a = 0.0;
-  FitQuality quality;
-  [[nodiscard]] double predict(double x) const { return a * x; }
-};
-
 /// y = a·x^b, fitted in log space.
 struct PowerFit {
-  double a = 0.0;
-  double b = 0.0;
-  FitQuality quality;
-  [[nodiscard]] double predict(double x) const;
-};
-
-/// y = x^{a·ln x + b}  (log space: Y = a·X² + b·X).
-struct PowerLogFit {
-  double a = 0.0;
-  double b = 0.0;
-  FitQuality quality;
-  [[nodiscard]] double predict(double x) const;
-};
-
-/// y = a·e^{b·x}, fitted as Y = ln a + b·x.
-struct ExponentialFit {
   double a = 0.0;
   double b = 0.0;
   FitQuality quality;
@@ -81,26 +53,9 @@ struct ExponentialFit {
 /// Convenience weighting for the above: weight proportional to x (large
 /// volumes count more), normalized to mean 1.
 [[nodiscard]] std::vector<double> volume_weights(std::span<const double> xs);
-[[nodiscard]] LinearFit fit_linear(std::span<const double> xs,
-                                   std::span<const double> ys);
+
+/// y = a·x^b by least squares on (ln x, ln y).
 [[nodiscard]] PowerFit fit_power(std::span<const double> xs,
                                  std::span<const double> ys);
-[[nodiscard]] PowerLogFit fit_powerlog(std::span<const double> xs,
-                                       std::span<const double> ys);
-[[nodiscard]] ExponentialFit fit_exponential(std::span<const double> xs,
-                                             std::span<const double> ys);
-
-/// Which family fit a data set best (by original-space R²).
-enum class ModelFamily { kLinear, kPower, kPowerLog, kExponential };
-
-[[nodiscard]] std::string_view to_string(ModelFamily family);
-
-struct ModelSelection {
-  ModelFamily family = ModelFamily::kLinear;
-  double r2 = 0.0;
-};
-
-[[nodiscard]] ModelSelection select_model(std::span<const double> xs,
-                                          std::span<const double> ys);
 
 }  // namespace reshape::model

@@ -63,10 +63,6 @@ struct ExecutionOptions {
   /// Result volume as a fraction of the input; > 0 appends a per-instance
   /// retrieval phase (download of the result objects) after execution.
   double output_ratio = 0.0;
-  /// Hedge (duplicate) the retrieval transfers and keep the first winner.
-  /// Every transfer verifies block digests, turning silent corruption into
-  /// a detected, retried error.
-  bool hedge_retrieval = false;
 };
 
 struct InstanceOutcome {
@@ -94,7 +90,6 @@ struct InstanceOutcome {
   int transfer_retries = 0;        // attempts beyond the first per transfer
   Seconds transfer_retry_time{0.0};  // wall time lost to retries + backoff
   int corruptions_detected = 0;    // digest mismatches caught and retried
-  int hedge_wins = 0;              // retrieval races won by the duplicate
 };
 
 struct ExecutionReport {
@@ -116,7 +111,6 @@ struct ExecutionReport {
   std::size_t transfer_retries = 0;
   Seconds transfer_retry_time{0.0};
   std::size_t corruptions_detected = 0;
-  std::size_t hedge_wins = 0;
 
   [[nodiscard]] std::size_t instance_count() const { return outcomes.size(); }
   /// Worst observed-over-deadline ratio (1.0 when all met).

@@ -1,7 +1,6 @@
 #include "provision/retrieval.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "cloud/transfer.hpp"
@@ -44,122 +43,38 @@ RetrievalEstimate expected_retrieval_time(const OutputSegmentation& output,
   return estimate;
 }
 
-TransferReliability TransferReliability::from(const cloud::FaultModel& model,
-                                              const RetryPolicy& policy) {
-  TransferReliability r;
-  r.p_transient = model.p_transfer_error;
-  r.p_corruption = model.p_transfer_corruption;
-  if (model.p_transfer_stall > 0.0) {
-    if (policy.attempt_timeout.value() > 0.0) {
-      // The default stall factors (4-10x) dwarf any sensible watchdog, so
-      // analytically every stall trips the timeout and becomes a retry.
-      r.p_stall_timeout = model.p_transfer_stall;
-    } else {
-      r.p_stall_endured = model.p_transfer_stall;
-      r.stall_factor_mean =
-          0.5 * (model.transfer_stall_lo + model.transfer_stall_hi);
-    }
-  }
-  return r;
+namespace {
+/// One S3 request's latency: the whole cost of an attempt that dies with
+/// a transient error.
+double request_latency(const cloud::S3Model& s3, Rng& rng) {
+  return std::max(0.001, rng.normal(s3.request_latency_mean.value(),
+                                    s3.request_latency_stddev.value()));
 }
 
-namespace {
-/// Mean cost of one *failed* attempt under the fault mix: a transient
-/// error dies at request time, a timeout burns the watchdog interval, and
-/// a detected corruption pays for the full (wasted) transfer.
-Seconds mean_failed_attempt(const TransferReliability& reliability,
-                            const RetryPolicy& policy, const cloud::S3Model& s3,
-                            Seconds success_cost) {
-  const double p = reliability.failure_probability();
-  if (p <= 0.0) return Seconds(0.0);
-  const double weighted =
-      reliability.p_transient * s3.request_latency_mean.value() +
-      reliability.p_stall_timeout * policy.attempt_timeout.value() +
-      reliability.p_corruption * success_cost.value();
-  return Seconds(weighted / p);
+/// One clean download of a `bytes`-sized result object: a request latency
+/// then the payload at a jittered rate.  Both samplers draw through here,
+/// so they consume the same stream and agree bit for bit.
+double object_time(const cloud::S3Model& s3, double bytes, Rng& rng) {
+  const double latency = request_latency(s3, rng);
+  const double rate_factor = std::max(0.2, rng.normal(1.0, s3.rate_jitter));
+  return latency +
+         bytes / (s3.transfer_rate.bytes_per_second() * rate_factor);
+}
+
+double mean_object_bytes(const OutputSegmentation& output) {
+  return output.object_count == 0
+             ? 0.0
+             : output.total_volume.as_double() /
+                   static_cast<double>(output.object_count);
 }
 }  // namespace
 
-RetrievalEstimate expected_retrieval_time(const OutputSegmentation& output,
-                                          const cloud::S3Model& s3,
-                                          const TransferReliability& reliability,
-                                          const RetryPolicy& policy) {
-  RetrievalEstimate estimate = expected_retrieval_time(output, s3);
-  const double p = reliability.failure_probability();
-  if (p <= 0.0 && reliability.p_stall_endured <= 0.0) return estimate;
-  policy.validate();
-
-  estimate.transfer = estimate.transfer * reliability.stall_inflation();
-  estimate.total = estimate.request_overhead + estimate.transfer;
-  if (p <= 0.0 || output.object_count == 0) return estimate;
-
-  const double objects = static_cast<double>(output.object_count);
-  const Seconds success_cost =
-      Seconds(estimate.total.value() / objects);
-  estimate.expected_attempts = policy.expected_attempts(p);
-  const Seconds failed = mean_failed_attempt(reliability, policy, s3,
-                                             success_cost);
-  const Seconds per_object =
-      failed * (estimate.expected_attempts - 1.0) + policy.expected_backoff(p);
-  estimate.retry_overhead = per_object * objects;
-  estimate.total += estimate.retry_overhead;
-  return estimate;
-}
-
-RetrievalEstimate expected_hedged_retrieval_time(
-    const OutputSegmentation& output, const cloud::S3Model& s3,
-    const TransferReliability& reliability, const RetryPolicy& policy) {
-  policy.validate();
-  constexpr double kInvSqrtPi = 0.5641895835477563;  // 1/sqrt(pi)
-  RetrievalEstimate estimate;
-  estimate.hedged = true;
-  // E[min(X1, X2)] = mu - sigma/sqrt(pi) for iid normals: the winner of
-  // the duplicated request beats the mean by sigma/sqrt(pi).
-  const double latency = std::max(
-      0.001, s3.request_latency_mean.value() -
-                 s3.request_latency_stddev.value() * kInvSqrtPi);
-  estimate.request_overhead =
-      Seconds(static_cast<double>(output.object_count) * latency);
-  estimate.transfer =
-      s3.transfer_rate.time_for(output.total_volume) /
-      (1.0 + s3.rate_jitter * kInvSqrtPi);
-  // Both copies must stall for the slow-down to survive the race.
-  const double hedged_inflation =
-      1.0 + reliability.p_stall_endured * reliability.p_stall_endured *
-                (reliability.stall_factor_mean - 1.0);
-  estimate.transfer = estimate.transfer * hedged_inflation;
-  estimate.total = estimate.request_overhead + estimate.transfer;
-
-  // The race fails an attempt round only when both copies fail it.
-  const double p = reliability.failure_probability();
-  const double p_hedged = p * p;
-  if (p_hedged <= 0.0 || output.object_count == 0) return estimate;
-  const double objects = static_cast<double>(output.object_count);
-  const Seconds success_cost = Seconds(estimate.total.value() / objects);
-  estimate.expected_attempts = policy.expected_attempts(p_hedged);
-  const Seconds failed = mean_failed_attempt(reliability, policy, s3,
-                                             success_cost);
-  const Seconds per_object = failed * (estimate.expected_attempts - 1.0) +
-                             policy.expected_backoff(p_hedged);
-  estimate.retry_overhead = per_object * objects;
-  estimate.total += estimate.retry_overhead;
-  return estimate;
-}
-
 Seconds retrieval_time_sampled(const OutputSegmentation& output,
                                const cloud::S3Model& s3, Rng& rng) {
+  const double mean_object = mean_object_bytes(output);
   double total = 0.0;
-  const double mean_object = output.object_count == 0
-                                 ? 0.0
-                                 : output.total_volume.as_double() /
-                                       static_cast<double>(output.object_count);
   for (std::uint64_t i = 0; i < output.object_count; ++i) {
-    const double latency =
-        std::max(0.001, rng.normal(s3.request_latency_mean.value(),
-                                   s3.request_latency_stddev.value()));
-    const double rate_factor = std::max(0.2, rng.normal(1.0, s3.rate_jitter));
-    total += latency +
-             mean_object / (s3.transfer_rate.bytes_per_second() * rate_factor);
+    total += object_time(s3, mean_object, rng);
   }
   return Seconds(total);
 }
@@ -167,38 +82,19 @@ Seconds retrieval_time_sampled(const OutputSegmentation& output,
 SampledRetrieval retrieval_time_sampled_with_faults(
     const OutputSegmentation& output, const cloud::S3Model& s3,
     const cloud::FaultInjector& faults, const RetryPolicy& policy,
-    const std::string& key_prefix, Rng& rng, bool hedge) {
+    const std::string& key_prefix, Rng& rng) {
   policy.validate();
   SampledRetrieval out;
-  const double mean_object = output.object_count == 0
-                                 ? 0.0
-                                 : output.total_volume.as_double() /
-                                       static_cast<double>(output.object_count);
-  // The per-attempt draws match `retrieval_time_sampled` exactly, so the
-  // zero fault model reproduces its totals bit-identically.
+  const double mean_object = mean_object_bytes(output);
   const cloud::TransferChannel channel{
       [&s3, mean_object](Rng& r) {
-        const double latency =
-            std::max(0.001, r.normal(s3.request_latency_mean.value(),
-                                     s3.request_latency_stddev.value()));
-        const double rate_factor = std::max(0.2, r.normal(1.0, s3.rate_jitter));
-        return Seconds(latency + mean_object /
-                                     (s3.transfer_rate.bytes_per_second() *
-                                      rate_factor));
+        return Seconds(object_time(s3, mean_object, r));
       },
-      [&s3](Rng& r) {
-        return Seconds(std::max(0.001,
-                                r.normal(s3.request_latency_mean.value(),
-                                         s3.request_latency_stddev.value())));
-      }};
+      [&s3](Rng& r) { return Seconds(request_latency(s3, r)); }};
   for (std::uint64_t i = 0; i < output.object_count; ++i) {
     const std::string key = key_prefix + "/" + std::to_string(i);
     const cloud::TransferOutcome o =
-        hedge ? cloud::hedged_transfer(faults, key, policy,
-                                       /*verify_integrity=*/true, channel, rng)
-              : cloud::transfer_with_retries(faults, key, policy,
-                                             /*verify_integrity=*/true, channel,
-                                             rng);
+        cloud::transfer_with_retries(faults, key, policy, channel, rng);
     if (!o.ok) {
       throw TransferError(o.error, "retrieval of " + key +
                                        " exhausted its retry budget (" +
@@ -208,10 +104,9 @@ SampledRetrieval retrieval_time_sampled_with_faults(
     }
     out.total += o.time;
     out.attempts += o.attempts;
-    out.retries += o.attempts - (hedge ? 2 : 1);
+    out.retries += o.attempts - 1;
     out.retry_time += o.retry_overhead();
     out.corruptions_detected += o.corruptions_detected;
-    if (o.hedge_won) ++out.hedge_wins;
     if (obs::enabled()) {
       obs::metrics().counter("retrieval.objects").add(1);
       obs::metrics()

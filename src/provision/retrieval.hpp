@@ -41,40 +41,6 @@ struct RetrievalEstimate {
   Seconds total{0.0};
   Seconds request_overhead{0.0};
   Seconds transfer{0.0};
-  /// Expected time lost to failed attempts + backoff under the reliability
-  /// model (0 with a clean channel).
-  Seconds retry_overhead{0.0};
-  /// Expected attempts per object (1.0 with a clean channel).
-  double expected_attempts = 1.0;
-  /// The estimate assumed hedged (duplicated) requests.
-  bool hedged = false;
-};
-
-/// Per-attempt failure character of the retrieval channel, reduced from
-/// the injector's fault model + the retry policy.  A stall only counts as
-/// a per-attempt *failure* when the policy runs a watchdog
-/// (attempt_timeout > 0); without one, stalls are endured and instead
-/// inflate the expected transfer time by `stall_inflation`.
-struct TransferReliability {
-  double p_transient = 0.0;
-  double p_stall_timeout = 0.0;
-  double p_corruption = 0.0;
-  /// Stalls endured to completion (no watchdog configured).
-  double p_stall_endured = 0.0;
-  /// Mean slow-down factor of an endured stall.
-  double stall_factor_mean = 1.0;
-
-  [[nodiscard]] double failure_probability() const {
-    return p_transient + p_stall_timeout + p_corruption;
-  }
-
-  /// Multiplier (>= 1) on the clean transfer time from endured stalls.
-  [[nodiscard]] double stall_inflation() const {
-    return 1.0 + p_stall_endured * (stall_factor_mean - 1.0);
-  }
-
-  [[nodiscard]] static TransferReliability from(const cloud::FaultModel& model,
-                                                const RetryPolicy& policy);
 };
 
 /// Expected time to download the whole result set sequentially through
@@ -82,22 +48,6 @@ struct TransferReliability {
 /// a stochastic draw, use `retrieval_time_sampled`.
 [[nodiscard]] RetrievalEstimate expected_retrieval_time(
     const OutputSegmentation& output, const cloud::S3Model& s3);
-
-/// Reliability-aware estimate: adds the expected-retries term (failed
-/// attempts + backoff, per object) on top of the clean estimate.  With a
-/// zero reliability model this returns exactly the clean estimate.
-[[nodiscard]] RetrievalEstimate expected_retrieval_time(
-    const OutputSegmentation& output, const cloud::S3Model& s3,
-    const TransferReliability& reliability, const RetryPolicy& policy);
-
-/// Hedged-request estimate (§1.1 parallel access): every object is
-/// fetched twice concurrently and the first winner is kept, so the
-/// per-object time is E[min of two independent draws] and the per-attempt
-/// failure probability squares.  Costs nothing in wall-clock terms here
-/// (S3 serves duplicates independently) but doubles the request volume.
-[[nodiscard]] RetrievalEstimate expected_hedged_retrieval_time(
-    const OutputSegmentation& output, const cloud::S3Model& s3,
-    const TransferReliability& reliability, const RetryPolicy& policy);
 
 /// One stochastic retrieval (per-object latency draws).
 [[nodiscard]] Seconds retrieval_time_sampled(const OutputSegmentation& output,
@@ -111,7 +61,6 @@ struct SampledRetrieval {
   int retries = 0;
   Seconds retry_time{0.0};
   int corruptions_detected = 0;
-  int hedge_wins = 0;
 };
 
 /// Samples the retrieval of every result object through the retry engine
@@ -122,7 +71,7 @@ struct SampledRetrieval {
 [[nodiscard]] SampledRetrieval retrieval_time_sampled_with_faults(
     const OutputSegmentation& output, const cloud::S3Model& s3,
     const cloud::FaultInjector& faults, const RetryPolicy& policy,
-    const std::string& key_prefix, Rng& rng, bool hedge = false);
+    const std::string& key_prefix, Rng& rng);
 
 /// `parallel_streams` concurrent downloads: S3 serves them independently
 /// (§1.1: "multiple instances can access this storage in parallel").

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cloud/ebs.hpp"
-#include "cloud/s3.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -32,7 +30,7 @@ TEST(TransferEngine, ZeroModelIsOneCleanAttempt) {
   const FaultInjector faults = injector(FaultModel{});
   Rng rng(1);
   const TransferOutcome out = transfer_with_retries(
-      faults, "a", RetryPolicy{}, true, fixed_channel(), rng);
+      faults, "a", RetryPolicy{}, fixed_channel(), rng);
   EXPECT_TRUE(out.ok);
   EXPECT_EQ(out.attempts, 1);
   EXPECT_DOUBLE_EQ(out.time.value(), 10.0);
@@ -48,8 +46,7 @@ TEST(TransferEngine, ZeroModelMakesNoRngDraws) {
   const FaultInjector faults = injector(FaultModel{});
   Rng rng(5);
   const std::uint64_t before = Rng(5).next_u64();
-  (void)transfer_with_retries(faults, "x", RetryPolicy{}, true,
-                              fixed_channel(), rng);
+  (void)transfer_with_retries(faults, "x", RetryPolicy{}, fixed_channel(), rng);
   EXPECT_EQ(rng.next_u64(), before);
 }
 
@@ -62,7 +59,7 @@ TEST(TransferEngine, CertainTransientErrorBurnsTheExactBudget) {
   policy.jitter = 0.0;
   Rng rng(2);
   const TransferOutcome out =
-      transfer_with_retries(faults, "k", policy, true, fixed_channel(), rng);
+      transfer_with_retries(faults, "k", policy, fixed_channel(), rng);
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(out.attempts, 3);
   EXPECT_EQ(out.transient_errors, 3);
@@ -82,8 +79,7 @@ TEST(TransferEngine, TransientErrorsRecoverWithinBudget) {
   int recovered_with_retries = 0;
   for (int k = 0; k < 50; ++k) {
     const TransferOutcome out = transfer_with_retries(
-        faults, keyed("obj-", k), policy, true, fixed_channel(),
-        rng);
+        faults, keyed("obj-", k), policy, fixed_channel(), rng);
     ASSERT_TRUE(out.ok);
     if (out.attempts > 1) {
       ++recovered_with_retries;
@@ -102,7 +98,7 @@ TEST(TransferEngine, StallIsEnduredWithoutAWatchdog) {
   RetryPolicy policy;  // attempt_timeout = 0: endure
   Rng rng(4);
   const TransferOutcome out =
-      transfer_with_retries(faults, "s", policy, true, fixed_channel(), rng);
+      transfer_with_retries(faults, "s", policy, fixed_channel(), rng);
   EXPECT_TRUE(out.ok);
   EXPECT_EQ(out.attempts, 1);
   EXPECT_EQ(out.stalls, 1);
@@ -121,7 +117,7 @@ TEST(TransferEngine, WatchdogCutsTheStallAndRetries) {
   policy.jitter = 0.0;
   Rng rng(4);
   const TransferOutcome out =
-      transfer_with_retries(faults, "s", policy, true, fixed_channel(), rng);
+      transfer_with_retries(faults, "s", policy, fixed_channel(), rng);
   EXPECT_FALSE(out.ok);  // every attempt stalls, every stall times out
   EXPECT_EQ(out.timeouts, 2);
   EXPECT_EQ(out.error, TransferErrorKind::kTimeout);
@@ -129,35 +125,24 @@ TEST(TransferEngine, WatchdogCutsTheStallAndRetries) {
   EXPECT_DOUBLE_EQ(out.time.value(), 30.0 + policy.backoff(0).value());
 }
 
-TEST(TransferEngine, CorruptionIsDetectedOnlyUnderVerification) {
+TEST(TransferEngine, CorruptionIsAlwaysDetected) {
+  // Every attempt's payload is digest-checked: a corrupt payload is never
+  // delivered, it costs a full transfer and is retried.
   FaultModel model;
   model.p_transfer_corruption = 1.0;
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.jitter = 0.0;
-
-  {
-    const FaultInjector faults = injector(model);
-    Rng rng(6);
-    const TransferOutcome out =
-        transfer_with_retries(faults, "c", policy, true, fixed_channel(), rng);
-    EXPECT_FALSE(out.ok);  // both payloads corrupt, both detected
-    EXPECT_EQ(out.corruptions_detected, 2);
-    EXPECT_FALSE(out.delivered_corrupt);
-    EXPECT_EQ(out.error, TransferErrorKind::kCorruption);
-  }
-  {
-    // Without the digest check the first corrupt payload sails through.
-    const FaultInjector faults = injector(model);
-    Rng rng(6);
-    const TransferOutcome out = transfer_with_retries(faults, "c", policy,
-                                                      false, fixed_channel(),
-                                                      rng);
-    EXPECT_TRUE(out.ok);
-    EXPECT_EQ(out.attempts, 1);
-    EXPECT_TRUE(out.delivered_corrupt);
-    EXPECT_EQ(out.corruptions_detected, 0);
-  }
+  const FaultInjector faults = injector(model);
+  Rng rng(6);
+  const TransferOutcome out =
+      transfer_with_retries(faults, "c", policy, fixed_channel(), rng);
+  EXPECT_FALSE(out.ok);  // both payloads corrupt, both detected
+  EXPECT_EQ(out.attempts, 2);
+  EXPECT_EQ(out.corruptions_detected, 2);
+  EXPECT_EQ(out.error, TransferErrorKind::kCorruption);
+  // Two wasted full transfers (10 s each) + one backoff.
+  EXPECT_DOUBLE_EQ(out.time.value(), 20.0 + policy.backoff(0).value());
 }
 
 TEST(TransferEngine, SameSeedReplaysBitIdentically) {
@@ -173,9 +158,8 @@ TEST(TransferEngine, SameSeedReplaysBitIdentically) {
     Rng rng(9);
     std::vector<TransferOutcome> outs;
     for (int k = 0; k < 20; ++k) {
-      outs.push_back(transfer_with_retries(faults, keyed("o", k),
-                                           policy, true, fixed_channel(),
-                                           rng));
+      outs.push_back(transfer_with_retries(faults, keyed("o", k), policy,
+                                           fixed_channel(), rng));
     }
     return outs;
   };
@@ -203,153 +187,11 @@ TEST(TransferEngine, DistinctKeysSeeIndependentFaultHistories) {
   int prev = -1;
   for (int k = 0; k < 30; ++k) {
     const TransferOutcome out = transfer_with_retries(
-        faults, keyed("key-", k), policy, true, fixed_channel(),
-        rng);
+        faults, keyed("key-", k), policy, fixed_channel(), rng);
     if (prev >= 0 && out.attempts != prev) attempts_differ = true;
     prev = out.attempts;
   }
   EXPECT_TRUE(attempts_differ);
-}
-
-TEST(HedgedTransfer, DuplicateRescuesAFailedPrimary) {
-  // Find a key whose primary stream exhausts its budget but whose #hedge
-  // stream succeeds; the race must be saved by the duplicate.
-  FaultModel model;
-  model.p_transfer_error = 0.6;
-  const FaultInjector faults = injector(model, 77);
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  bool rescued = false;
-  Rng rng(13);
-  for (int k = 0; k < 200 && !rescued; ++k) {
-    const std::string key = keyed("h", k);
-    Rng probe(1);
-    const TransferOutcome primary =
-        transfer_with_retries(faults, key, policy, true, fixed_channel(),
-                              probe);
-    if (primary.ok) continue;
-    const TransferOutcome hedged =
-        hedged_transfer(faults, key, policy, true, fixed_channel(), rng);
-    if (hedged.ok) {
-      EXPECT_TRUE(hedged.hedge_won);
-      rescued = true;
-    }
-  }
-  EXPECT_TRUE(rescued);
-}
-
-TEST(HedgedTransfer, FailsOnlyWhenBothCopiesExhaust) {
-  FaultModel model;
-  model.p_transfer_error = 1.0;  // nothing can succeed
-  const FaultInjector faults = injector(model);
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.jitter = 0.0;
-  Rng rng(3);
-  const TransferOutcome out =
-      hedged_transfer(faults, "doomed", policy, true, fixed_channel(), rng);
-  EXPECT_FALSE(out.ok);
-  EXPECT_EQ(out.attempts, 4);  // both copies burn their full budgets
-}
-
-TEST(HedgedTransfer, ZeroModelStillSucceedsOnce) {
-  const FaultInjector faults = injector(FaultModel{});
-  Rng rng(8);
-  const TransferOutcome out = hedged_transfer(faults, "z", RetryPolicy{},
-                                              true, fixed_channel(), rng);
-  EXPECT_TRUE(out.ok);
-  EXPECT_EQ(out.attempts, 2);  // both copies ran one clean attempt
-  EXPECT_DOUBLE_EQ(out.time.value(), 10.0);
-}
-
-TEST(ObjectStoreFaults, ZeroModelFetchResultMatchesFetchTime) {
-  ObjectStore store;
-  store.put("blob", 64_MB);
-  const FaultInjector faults = injector(FaultModel{});
-  Rng a(21), b(21);
-  const Seconds historic = store.fetch_time("blob", a);
-  const TransferOutcome out =
-      store.fetch_result("blob", b, faults, RetryPolicy{});
-  EXPECT_TRUE(out.ok);
-  EXPECT_EQ(out.attempts, 1);
-  EXPECT_DOUBLE_EQ(out.time.value(), historic.value());
-}
-
-TEST(ObjectStoreFaults, FetchRetriesUnderTransientErrors) {
-  ObjectStore store;
-  store.put("blob", 64_MB);
-  FaultModel model;
-  model.p_transfer_error = 0.5;
-  const FaultInjector faults = injector(model, 3);
-  RetryPolicy policy;
-  policy.max_attempts = 12;
-  Rng rng(4);
-  int total_attempts = 0;
-  for (int k = 0; k < 20; ++k) {
-    store.put(keyed("o", k), 1_MB);
-    const TransferOutcome out =
-        store.fetch_result(keyed("o", k), rng, faults, policy);
-    ASSERT_TRUE(out.ok);
-    total_attempts += out.attempts;
-  }
-  EXPECT_GT(total_attempts, 20);  // some fetch needed a retry
-}
-
-TEST(ObjectStoreFaults, UploadUsesItsOwnFaultStream) {
-  ObjectStore store;
-  FaultModel model;
-  model.p_transfer_error = 0.5;
-  const FaultInjector faults = injector(model, 3);
-  RetryPolicy policy;
-  policy.max_attempts = 12;
-  // A fetch of `k` and an upload to `k` must not share a fault history:
-  // their first-attempt fates may differ for some key.
-  bool differs = false;
-  Rng rng(4);
-  for (int k = 0; k < 40 && !differs; ++k) {
-    const std::string key = keyed("k", k);
-    store.put(key, 8_MB);
-    const TransferOutcome down = store.fetch_result(key, rng, faults, policy);
-    const TransferOutcome up =
-        store.upload_result(key, 8_MB, rng, faults, policy);
-    if (down.attempts != up.attempts) differs = true;
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(EbsFaults, ZeroModelReadMatchesEffectiveRate) {
-  const EbsPlacementModel model;
-  const EbsVolume vol(VolumeId{1}, 10_GB, AvailabilityZone{},
-                      model, Rng(55));
-  const FaultInjector faults = injector(FaultModel{});
-  const Rate io = Rate::megabytes_per_second(100.0);
-  Rng rng(2);
-  const TransferOutcome out = vol.read_result(
-      0_B, 1_GB, io, Seconds(0.0), rng, faults, RetryPolicy{});
-  EXPECT_TRUE(out.ok);
-  EXPECT_EQ(out.attempts, 1);
-  const Seconds expected = vol.effective_rate(0_B, 1_GB, io).time_for(1_GB);
-  EXPECT_DOUBLE_EQ(out.time.value(), expected.value());
-}
-
-TEST(EbsFaults, SameExtentReplaysTheSameFaultHistory) {
-  const EbsPlacementModel model;
-  const EbsVolume vol(VolumeId{1}, 10_GB, AvailabilityZone{},
-                      model, Rng(55));
-  FaultModel fm;
-  fm.p_transfer_error = 0.5;
-  const FaultInjector faults = injector(fm, 9);
-  const Rate io = Rate::megabytes_per_second(100.0);
-  RetryPolicy policy;
-  policy.max_attempts = 10;
-  policy.jitter = 0.0;
-  Rng a(1), b(1);
-  const TransferOutcome first = vol.read_result(
-      256_MB, 128_MB, io, Seconds(0.0), a, faults, policy);
-  const TransferOutcome again = vol.read_result(
-      256_MB, 128_MB, io, Seconds(0.0), b, faults, policy);
-  EXPECT_EQ(first.attempts, again.attempts);
-  EXPECT_DOUBLE_EQ(first.time.value(), again.time.value());
 }
 
 TEST(FaultModelValidation, RejectsBadTransferParameters) {
