@@ -345,6 +345,29 @@ TEST(ElasticCampaign, ShedsLowestValueFirstWithIndexTiebreak) {
   EXPECT_EQ(order, expected);
 }
 
+TEST(ElasticCampaign, UnitsWithABootingMemberHaveNoPendingBytes) {
+  // Every boot takes at least 200 s and the first epoch fires at 60 s, so
+  // each unit still has its initial member booting toward it: none of its
+  // bytes are pending, and the re-plan acquires nothing.
+  const corpus::Corpus data = data_40mb();
+  const ExecutionPlan plan = slack_plan(data);
+  cloud::ProviderConfig config = fast_config();
+  config.boot_mean = Seconds(300.0);
+  config.boot_min = Seconds(200.0);
+  ElasticOptions elastic;
+  elastic.epoch = Seconds(60.0);
+  const CampaignReport report = run_elastic(config, plan, elastic);
+
+  ASSERT_FALSE(report.epochs.empty());
+  const EpochDecision& first = report.epochs.front();
+  EXPECT_DOUBLE_EQ(first.at.value(), 60.0);
+  EXPECT_EQ(first.live_members, plan.instance_count());
+  EXPECT_EQ(first.units_pending, plan.instance_count());
+  EXPECT_EQ(first.bytes_remaining.count(), 0u);
+  EXPECT_EQ(first.acquired, 0u);
+  EXPECT_FALSE(first.degraded);
+}
+
 TEST(ElasticCampaign, WidenPolicyWidensInsteadOfShedding) {
   const corpus::Corpus data = data_40mb();
   const ExecutionPlan plan = slack_plan(data);
