@@ -263,7 +263,6 @@ AdmissionResult run_admission(const std::vector<Tenant>& tenants,
   serve::ServerConfig config;
   config.workers = 1;
   config.queue_capacity = 4;
-  config.overload = serve::OverloadPolicy::kRejectRetryAfter;
   config.batch_window = Seconds(0.0);
   config.cache_plans = false;  // every admitted request costs a real plan
   serve::PlanServer server(config);

@@ -9,10 +9,10 @@ namespace reshape::obs::profile {
 namespace {
 
 constexpr std::string_view kDecisionNames[] = {
-    "epoch",         "straggler-flagged", "hedge-launched",
+    "epoch",         "straggler-flagged",   "hedge-launched",
     "race-resolved", "race-contender-lost", "crash",
-    "zone-suspect",  "cross-az-move",     "degrade",
-    "widen-units",   "unit-shed",         "unit-abandoned",
+    "zone-suspect",  "cross-az-move",       "degrade",
+    "unit-shed",     "unit-abandoned",
 };
 
 [[nodiscard]] bool is_decision(const std::string& name) {

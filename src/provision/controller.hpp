@@ -22,12 +22,11 @@
 //       capacity to a fallback availability zone when a zone turns
 //       suspect (an AZ-outage episode or a failure cluster);
 //   (c) when the deadline has become infeasible even at full budget,
-//       degrades gracefully per a declared policy — shed the lowest-value
-//       pending units, widen the merge unit, or overshoot the cost cap —
-//       and reports exactly what was shed.
+//       degrades gracefully: sheds the lowest-value pending units until
+//       the rest fit, and reports exactly what was shed.
 //
-// ElasticOptions holds only the policies callers choose; every threshold
-// is a named constant in controller.cpp or straggler.cpp.
+// ElasticOptions holds only the epoch period and the acquisition budget;
+// every threshold is a named constant in controller.cpp or straggler.cpp.
 //
 // Determinism contract: the controller makes no draws of its own beyond
 // named child streams of the caller's noise Rng and the provider's
@@ -35,8 +34,8 @@
 // bit-identically — the property the chaos differential suite leans on.
 //
 // Invariants (enforced, and re-checked by the chaos suite):
-//   * every unit is completed exactly once, or shed/abandoned exactly
-//     once — never both, never twice;
+//   * every unit is completed exactly once or shed exactly once — never
+//     both, never twice;
 //   * a unit's admission digest matches at completion (no bookkeeping
 //     corruption across relaunches, hedges and cross-AZ moves);
 //   * billing stays consistent: every launched instance is terminated or
@@ -50,31 +49,13 @@
 
 namespace reshape::provision {
 
-/// What to give up when the deadline is infeasible at full budget.
-enum class DegradePolicy {
-  /// Shed pending units, lowest Assignment::value first (ties by higher
-  /// index), until the projection fits.  Shed units are reported.
-  kShedLowestValue,
-  /// Widen the effective merge unit (halve per-file overhead) instead of
-  /// dropping work: everything completes, later and coarser.
-  kWidenMergeUnits,
-  /// Keep acquiring past the budget until the projected spend reaches
-  /// twice the plan's predicted cost.
-  kOvershootCost,
-};
-
-[[nodiscard]] std::string_view to_string(DegradePolicy policy);
-
 struct ElasticOptions {
-  /// Epoch period.  Reports, flags, refits, re-plans and degradation all
+  /// Epoch period.  Reports, flags, refits, re-plans and shedding all
   /// happen on these boundaries.
   Seconds epoch{300.0};
-  /// Hedge flagged slots with a speculative duplicate attempt.
-  bool hedge_stragglers = true;
   /// Launches allowed beyond the initial fleet (replacements, hedges and
   /// growth all draw from this one budget).
   int acquisition_budget = 16;
-  DegradePolicy degrade = DegradePolicy::kShedLowestValue;
 };
 
 /// One epoch boundary's decisions, in order.
@@ -87,11 +68,8 @@ struct EpochDecision {
   std::vector<std::uint64_t> flagged;  // straggler slots, ascending
   std::size_t hedges_launched = 0;
   std::size_t acquired = 0;
-  std::size_t released = 0;
-  bool refit = false;     // banked refit replaced the prior predictor
-  bool degraded = false;  // degradation policy engaged this epoch
+  bool degraded = false;  // units were shed this epoch
   std::vector<std::size_t> shed_units;  // unit indexes shed this epoch
-  Bytes shed_bytes{0};
 };
 
 struct CampaignReport {
@@ -115,7 +93,6 @@ struct CampaignReport {
   std::size_t releases = 0;        // voluntary terminations of idle members
   std::size_t boot_failures = 0;
   bool degraded = false;
-  bool widened_units = false;  // kWidenMergeUnits engaged
 
   /// Fraction of units that completed within the campaign deadline (shed
   /// and abandoned units count as misses).

@@ -15,6 +15,7 @@
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "provision/retrieval.hpp"
+#include "provision/work_unit.hpp"
 
 namespace reshape::provision {
 
@@ -41,40 +42,13 @@ namespace {
 /// Mutable recovery state of one assignment.  Its data lives on one
 /// persistent EBS volume (EBS mode), so an instance failure loses at most
 /// the in-flight pass over the remaining extent, never the data.
-struct Slot {
-  std::size_t index = 0;
-  Assignment assignment;
-  cloud::AppCostProfile app;  // complexity-scaled profile
-  Rng run_noise{0};
+struct Slot : WorkUnit {
+  using WorkUnit::WorkUnit;
 
-  cloud::VolumeId volume{};
-  Bytes data_offset{0};
-  Bytes remaining{0};
-
-  // The in-flight attempt.
-  cloud::InstanceId current{};
-  Seconds work_begun{0.0};
-  Seconds cur_staging{0.0};
-  Seconds cur_exec{0.0};
+  Attempt attempt;
   Seconds cur_retrieval{0.0};
-  Bytes attempt_bytes{0};
-  sim::EventHandle completion{};
-
-  // Accumulated outcome.
-  Seconds staging_total{0.0};
-  Seconds exec_total{0.0};
   Seconds retrieval_total{0.0};
-  Seconds work_total{0.0};
-  Seconds recovery_total{0.0};
-  Seconds failed_at{0.0};
-  std::uint64_t file_count = 0;
-  bool file_count_set = false;
-  cloud::QualityClass quality = cloud::QualityClass::kFast;
-  std::size_t failures = 0;
-  std::size_t relaunches = 0;
-  bool done = false;
   bool abandoned = false;
-  std::string error;
 
   // Data-plane bookkeeping.
   int transfer_attempts = 0;
@@ -133,16 +107,7 @@ class ExecutionDriver {
       : provider_(provider), plan_(plan), options_(options) {
     slots_.reserve(plan.assignments.size());
     for (std::size_t i = 0; i < plan.assignments.size(); ++i) {
-      auto slot = std::make_unique<Slot>();
-      slot->index = i;
-      slot->assignment = plan.assignments[i];
-      slot->app = app;
-      // Complexity scales the CPU demand of this instance's share (§5.2's
-      // language-complexity effect).
-      slot->app.cpu_seconds_per_byte *= plan.assignments[i].mean_complexity;
-      slot->run_noise = noise.split(i);
-      slot->remaining = plan.assignments[i].volume;
-      slots_.push_back(std::move(slot));
+      slots_.push_back(std::make_unique<Slot>(plan, i, app, noise));
     }
   }
 
@@ -165,20 +130,15 @@ class ExecutionDriver {
   }
 
  private:
-  [[nodiscard]] static std::uint32_t trace_tid(const Slot& slot) {
-    return static_cast<std::uint32_t>(slot.index);
-  }
-
   /// Books the wait between a slot's failure and its resumed work, both
   /// into the slot's tally and the driver registry, and emits the
   /// recovery span (`mode` says how the slot came back: a backlog drain
   /// on a survivor or a screened replacement launch).
   void credit_recovery(Slot& slot, const char* mode) {
-    const Seconds waited = provider_.sim().now() - slot.failed_at;
-    slot.recovery_total += waited;
+    const Seconds waited = slot.credit_recovery(provider_.sim().now());
     m_recovery_time_.add(waited.value());
     if (obs::enabled()) {
-      obs::trace().complete(obs::kPidExecutor, trace_tid(slot), "executor",
+      obs::trace().complete(obs::kPidExecutor, slot.tid(), "executor",
                             "recovery", slot.failed_at.value(),
                             waited.value(),
                             {obs::arg("mode", mode),
@@ -191,20 +151,21 @@ class ExecutionDriver {
   void trace_attempt(const Slot& slot) {
     if (!obs::enabled()) return;
     auto& tr = obs::trace();
-    const std::uint32_t tid = trace_tid(slot);
-    const double begun = slot.work_begun.value();
+    const std::uint32_t tid = slot.tid();
+    const Attempt& a = slot.attempt;
+    const double begun = a.begun.value();
     tr.complete(obs::kPidExecutor, tid, "executor", "staging", begun,
-                slot.cur_staging.value(),
-                {obs::arg("instance", slot.current.value)});
+                a.staging.value(),
+                {obs::arg("instance", slot.last_instance.value)});
     tr.complete(obs::kPidExecutor, tid, "executor", "exec",
-                begun + slot.cur_staging.value(), slot.cur_exec.value(),
-                {obs::arg("instance", slot.current.value),
-                 obs::arg("bytes", slot.attempt_bytes.count())});
+                begun + a.staging.value(), a.exec.value(),
+                {obs::arg("instance", slot.last_instance.value),
+                 obs::arg("bytes", a.bytes.count())});
     if (slot.cur_retrieval.value() > 0.0) {
       tr.complete(obs::kPidExecutor, tid, "executor", "retrieval",
-                  begun + slot.cur_staging.value() + slot.cur_exec.value(),
+                  begun + a.staging.value() + a.exec.value(),
                   slot.cur_retrieval.value(),
-                  {obs::arg("instance", slot.current.value)});
+                  {obs::arg("instance", slot.last_instance.value)});
     }
   }
 
@@ -230,9 +191,9 @@ class ExecutionDriver {
     const Seconds staging = options_.data_on_ebs
                                 ? provider_.config().attach_mean
                                 : options_.local_staging_time;
-    if (slot.cur_exec.value() > 0.0 && slot.attempt_bytes.count() > 0) {
-      return staging + slot.cur_exec * (slot.remaining.as_double() /
-                                        slot.attempt_bytes.as_double());
+    if (slot.attempt.exec.value() > 0.0 && slot.attempt.bytes.count() > 0) {
+      return staging + slot.attempt.exec * (slot.remaining.as_double() /
+                                            slot.attempt.bytes.as_double());
     }
     // No history yet: assume the nominal effective processing rate.
     return staging + kNominalRate.time_for(slot.remaining);
@@ -251,33 +212,26 @@ class ExecutionDriver {
     cloud::Instance& instance = provider_.instance(station.id);
     station.awaiting = nullptr;
     station.active = &slot;
-    slot.current = station.id;
-    slot.quality = instance.quality().cls;
+    slot.ran_on(instance);
 
     const cloud::DataLayout layout =
         layout_for_remaining(slot.assignment, options_, slot.remaining);
-    if (!slot.file_count_set) {
-      slot.file_count = layout.file_count;
-      slot.file_count_set = true;
-    }
+    slot.note_layout(layout);
 
     cloud::StorageBinding storage = cloud::LocalStorage{};
     Seconds staging{0.0};
     if (options_.data_on_ebs) {
       if (!slot.volume.valid()) {
         // Pre-staged volume, created once; replacements re-attach it.
-        slot.volume = provider_.create_volume(
-            std::max(slot.assignment.volume * 2, Bytes(1'000'000)),
-            kPrimaryZone);
-        slot.data_offset =
-            provider_.volume(slot.volume).stage(slot.assignment.volume);
+        const StagedVolume staged = stage_volume(
+            provider_, slot.assignment, slot.assignment.volume, kPrimaryZone);
+        slot.volume = staged.id;
+        slot.data_offset = staged.offset;
       }
-      cloud::EbsVolume& vol = provider_.volume(slot.volume);
-      provider_.attach(slot.volume, station.id);
-      staging = provider_.draw_attach_latency();
-      storage = cloud::EbsStorage{
-          &vol, slot.data_offset,
-          vol.degradation_factor(provider_.sim().now())};
+      const AttachedVolume attached =
+          attach_volume(provider_, slot.volume, station.id, slot.data_offset);
+      staging = attached.latency;
+      storage = attached.storage;
     } else {
       staging = options_.local_staging_time;
       instance.stage_local(slot.remaining);
@@ -309,7 +263,7 @@ class ExecutionDriver {
       m_xfer_retry_time_.add(out.retry_overhead().value());
       m_corruptions_.add(
           static_cast<std::uint64_t>(std::max(0, out.corruptions_detected)));
-      cloud::record_transfer_trace(obs::kPidExecutor, trace_tid(slot),
+      cloud::record_transfer_trace(obs::kPidExecutor, slot.tid(),
                                    "staging-transfer", provider_.sim().now(),
                                    out);
       if (!out.ok) {
@@ -366,13 +320,10 @@ class ExecutionDriver {
     }
 
     const Seconds now = provider_.sim().now();
-    slot.work_begun = now;
-    slot.cur_staging = staging;
-    slot.cur_exec = exec;
+    slot.attempt = Attempt{now, staging, exec, slot.remaining, {}};
     slot.cur_retrieval = retrieval;
-    slot.attempt_bytes = slot.remaining;
 
-    slot.completion = provider_.sim().schedule_in(
+    slot.attempt.completion = provider_.sim().schedule_in(
         staging + exec + retrieval, [this, sid = station.id](sim::Simulation&) {
           const auto it = stations_.find(sid);
           if (it == stations_.end()) return;
@@ -393,7 +344,7 @@ class ExecutionDriver {
     slot.error = std::move(why);
     m_abandoned_.add(1);
     if (obs::enabled()) {
-      obs::trace().instant(obs::kPidExecutor, trace_tid(slot), "executor",
+      obs::trace().instant(obs::kPidExecutor, slot.tid(), "executor",
                            "abandoned", provider_.sim().now().value(),
                            {obs::arg("slot", slot.index),
                             obs::arg("reason", "transfer")});
@@ -426,10 +377,11 @@ class ExecutionDriver {
   void on_complete(Station& station) {
     Slot& slot = *station.active;
     slot.done = true;
-    slot.staging_total += slot.cur_staging;
-    slot.exec_total += slot.cur_exec;
+    slot.staging_total += slot.attempt.staging;
+    slot.exec_total += slot.attempt.exec;
     slot.retrieval_total += slot.cur_retrieval;
-    slot.work_total += slot.cur_staging + slot.cur_exec + slot.cur_retrieval;
+    slot.work_total +=
+        slot.attempt.staging + slot.attempt.exec + slot.cur_retrieval;
     trace_attempt(slot);
     station.active = nullptr;
     move_on(station);
@@ -450,7 +402,7 @@ class ExecutionDriver {
       ++waiting->failures;
       waiting->failed_at = now;
       if (obs::enabled()) {
-        obs::trace().instant(obs::kPidExecutor, trace_tid(*waiting),
+        obs::trace().instant(obs::kPidExecutor, waiting->tid(),
                              "executor", "crash", now.value(),
                              {obs::arg("slot", waiting->index),
                               obs::arg("phase", "boot"),
@@ -458,39 +410,22 @@ class ExecutionDriver {
       }
       recover(waiting);
     } else if (Slot* slot = station->active) {
-      // Mid-run crash: the linear-progress prefix of this attempt is kept
-      // (its extent on the persistent volume is never re-read).
-      ++slot->failures;
-      provider_.sim().cancel(slot->completion);
-      const Seconds elapsed = now - slot->work_begun;
-      slot->work_total += elapsed;
-      slot->staging_total += std::min(elapsed, slot->cur_staging);
-      // Attribute only the exec window to exec time; time spent in the
-      // retrieval phase is lost outright (results are re-downloaded on
-      // recovery, so no retrieval progress survives a crash).
-      slot->exec_total += std::min(
-          std::max(Seconds(0.0), elapsed - slot->cur_staging),
-          slot->cur_exec);
-      double progress = 1.0;
-      if (slot->cur_exec.value() > 0.0) {
-        progress = std::clamp(
-            (elapsed - slot->cur_staging).value() / slot->cur_exec.value(),
-            0.0, 1.0);
-      }
-      Bytes processed(static_cast<std::uint64_t>(
-          progress * slot->attempt_bytes.as_double()));
-      processed = std::min(processed, slot->remaining);
-      slot->remaining -= processed;
-      slot->data_offset += processed;
+      // Mid-run crash: the linear-progress prefix of this attempt is kept.
+      // Time spent in the retrieval phase is lost outright (results are
+      // re-downloaded on recovery).
+      provider_.sim().cancel(slot->attempt.completion);
+      const Seconds elapsed = now - slot->attempt.begun;
+      slot->charge_crash(slot->attempt, elapsed);
+      const double progress = slot->bank_progress(slot->attempt, elapsed);
       slot->failed_at = now;
       if (obs::enabled()) {
-        obs::trace().complete(obs::kPidExecutor, trace_tid(*slot), "executor",
-                              "attempt#crashed", slot->work_begun.value(),
+        obs::trace().complete(obs::kPidExecutor, slot->tid(), "executor",
+                              "attempt#crashed", slot->attempt.begun.value(),
                               elapsed.value(),
                               {obs::arg("slot", slot->index),
                                obs::arg("instance", instance.id().value),
                                obs::arg("progress", progress)});
-        obs::trace().instant(obs::kPidExecutor, trace_tid(*slot), "executor",
+        obs::trace().instant(obs::kPidExecutor, slot->tid(), "executor",
                              "crash", now.value(),
                              {obs::arg("slot", slot->index),
                               obs::arg("phase", "work"),
@@ -542,7 +477,7 @@ class ExecutionDriver {
                   "budget and no surviving instance to redistribute to";
     m_abandoned_.add(1);
     if (obs::enabled()) {
-      obs::trace().instant(obs::kPidExecutor, trace_tid(*slot), "executor",
+      obs::trace().instant(obs::kPidExecutor, slot->tid(), "executor",
                            "abandoned", provider_.sim().now().value(),
                            {obs::arg("slot", slot->index),
                             obs::arg("reason", "recovery_exhausted")});
@@ -596,28 +531,12 @@ class ExecutionDriver {
     report.outcomes.resize(slots_.size());
     for (const auto& slot : slots_) {
       InstanceOutcome& outcome = report.outcomes[slot->index];
-      outcome.index = slot->index;
-      outcome.id = slot->current;
-      outcome.volume = slot->assignment.volume;
-      outcome.volume_id = slot->volume;
-      outcome.file_count = slot->file_count;
-      outcome.staging = slot->staging_total;
-      outcome.exec_time = slot->exec_total;
+      outcome = slot->outcome("assignment never completed");
       outcome.retrieval = slot->retrieval_total;
-      outcome.work_time = slot->work_total + slot->recovery_total;
-      outcome.quality = slot->quality;
-      outcome.completed = slot->done;
-      outcome.error = slot->error;
-      outcome.failures = slot->failures;
-      outcome.relaunches = slot->relaunches;
-      outcome.recovery_time = slot->recovery_total;
       outcome.transfer_attempts = slot->transfer_attempts;
       outcome.transfer_retries = slot->transfer_retries;
       outcome.transfer_retry_time = slot->transfer_retry_time;
       outcome.corruptions_detected = slot->corruptions_detected;
-      if (!slot->done && slot->error.empty()) {
-        outcome.error = "assignment never completed";
-      }
       outcome.met_deadline =
           slot->done && outcome.work_time <= plan_.deadline;
       if (!outcome.met_deadline) ++report.missed;

@@ -4,34 +4,20 @@
 
 namespace reshape::serve {
 
-AdmissionQueue::AdmissionQueue(std::size_t capacity, OverloadPolicy policy)
-    : capacity_(capacity), policy_(policy) {
+AdmissionQueue::AdmissionQueue(std::size_t capacity) : capacity_(capacity) {
   RESHAPE_REQUIRE(capacity > 0, "admission queue needs capacity");
 }
 
-AdmissionQueue::AdmitResult AdmissionQueue::admit(Pending pending) {
-  AdmitResult result;
+std::optional<Pending> AdmissionQueue::admit(Pending pending) {
   {
     const std::lock_guard lock(mu_);
-    if (stopped_) {  // refused: the server is shutting down
-      result.bounced = std::move(pending);
-      return result;
-    }
-    if (queue_.size() >= capacity_) {
-      if (policy_ == OverloadPolicy::kRejectRetryAfter) {
-        result.bounced = std::move(pending);
-        return result;
-      }
-      result.bounced = std::move(queue_.front());
-      queue_.pop_front();
-    }
+    if (stopped_ || queue_.size() >= capacity_) return pending;
     queue_.push_back(std::move(pending));
     high_water_ = std::max(high_water_,
                            static_cast<std::uint64_t>(queue_.size()));
-    result.admitted = true;
   }
   arrival_.notify_one();
-  return result;
+  return std::nullopt;
 }
 
 void AdmissionQueue::gather_locked(std::vector<Pending>& batch,

@@ -1,12 +1,10 @@
 // Admission control and micro-batching for the planning server.
 //
 // The AdmissionQueue is the server's only unbounded-load surface, so it is
-// bounded: when `capacity` requests are already waiting, either the new
-// request is rejected with a retry-after hint (kRejectRetryAfter) or the
-// oldest waiting request is shed to admit the new one (kShedOldest —
-// freshest-work-wins, the policy a deadline-driven tenant wants).  Either
-// way overload degrades one request at a time instead of collapsing the
-// queue into multi-second latency for everyone.
+// bounded: when `capacity` requests are already waiting, the new request
+// is handed back for the server to reject with a retry-after hint, and
+// the queue is left as it was.  Overload degrades one request at a time
+// instead of collapsing the queue into multi-second latency for everyone.
 //
 // The dispatcher side forms micro-batches: next_batch() pops the oldest
 // request and gathers every waiting request that shares its model key, up
@@ -32,11 +30,6 @@
 
 namespace reshape::serve {
 
-enum class OverloadPolicy {
-  kRejectRetryAfter,  // refuse the newcomer, hint a backoff
-  kShedOldest,        // drop the oldest waiter, admit the newcomer
-};
-
 /// A request in flight through the server, with its resolved model key,
 /// cache fingerprint and the promise the tenant is waiting on.
 struct Pending {
@@ -50,22 +43,15 @@ struct Pending {
 
 class AdmissionQueue {
  public:
-  AdmissionQueue(std::size_t capacity, OverloadPolicy policy);
+  explicit AdmissionQueue(std::size_t capacity);
 
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
 
-  struct AdmitResult {
-    /// Whether the newcomer made it into the queue.
-    bool admitted = false;
-    /// The request the caller must fail (promises are never dropped
-    /// silently): the refused newcomer when not admitted, or the shed
-    /// oldest waiter under kShedOldest at capacity.
-    std::optional<Pending> bounced;
-  };
-
-  /// Admits or refuses under the overload policy.  Never blocks.
-  [[nodiscard]] AdmitResult admit(Pending pending);
+  /// Queues `pending`, or hands it back when the queue is full or stopped
+  /// (the caller must fail it: promises are never dropped silently).
+  /// Never blocks.
+  [[nodiscard]] std::optional<Pending> admit(Pending pending);
 
   /// Blocks until a request is available (or the queue is stopped), then
   /// returns the oldest request plus up to `max_batch - 1` same-key
@@ -93,7 +79,6 @@ class AdmissionQueue {
   std::condition_variable arrival_;
   std::deque<Pending> queue_;
   std::size_t capacity_;
-  OverloadPolicy policy_;
   bool stopped_ = false;
   std::uint64_t high_water_ = 0;
 };

@@ -32,7 +32,7 @@ struct PlanRequest {
 enum class PlanStatus {
   kOk,        // plan computed (or served from cache)
   kRejected,  // admission control refused; retry after `retry_after`
-  kShed,      // dropped under overload (shed-oldest) or at shutdown
+  kShed,      // dropped at shutdown
   kFailed,    // the planner itself refused (infeasible deadline, no model)
 };
 

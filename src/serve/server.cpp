@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -34,7 +35,6 @@ struct ObsHandles {
   obs::Counter* planned = nullptr;
   obs::Counter* failed = nullptr;
   obs::Counter* rejected = nullptr;
-  obs::Counter* shed = nullptr;
   obs::Counter* ingests = nullptr;
   obs::Gauge* queue_depth = nullptr;
   obs::Gauge* pool_queue_depth = nullptr;
@@ -53,7 +53,6 @@ ObsHandles* obs_handles() {
     h.planned = &m.counter("serve.planned");
     h.failed = &m.counter("serve.failed");
     h.rejected = &m.counter("serve.rejected");
-    h.shed = &m.counter("serve.shed");
     h.ingests = &m.counter("serve.ingests");
     h.queue_depth = &m.gauge("serve.queue_depth");
     h.pool_queue_depth = &m.gauge("serve.pool.queue_depth");
@@ -82,7 +81,7 @@ void wall_span(std::string_view name,
 
 PlanServer::PlanServer(ServerConfig config)
     : config_(config),
-      queue_(config.queue_capacity, config.overload),
+      queue_(config.queue_capacity),
       pool_(std::make_unique<ThreadPool>(std::max<std::size_t>(
           1, config.workers))),
       dispatcher_([this] { dispatcher_loop(); }) {}
@@ -161,16 +160,11 @@ std::future<PlanResponse> PlanServer::submit(PlanRequest request) {
   pending.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   pending.enqueued = t0;
 
-  AdmissionQueue::AdmitResult result = queue_.admit(std::move(pending));
-  if (!result.admitted) {
+  if (std::optional<Pending> refused = queue_.admit(std::move(pending))) {
     counters_.rejected.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) obs_handles()->rejected->add();
-    fail(*result.bounced, PlanStatus::kRejected, "admission queue full",
+    fail(*refused, PlanStatus::kRejected, "admission queue full",
          retry_after_hint());
-  } else if (result.bounced) {
-    counters_.shed.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) obs_handles()->shed->add();
-    fail(*result.bounced, PlanStatus::kShed, "shed under overload");
   }
   return future;
 }

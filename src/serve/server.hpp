@@ -4,8 +4,8 @@
 //
 //   submit() ── cache hit? ──> fulfilled inline on the caller's thread
 //       │                      (serve.cache_hit: no queue, no worker)
-//       └─ admission queue (bounded; reject-with-retry-after or
-//          shed-oldest under overload)
+//       └─ admission queue (bounded; reject-with-retry-after under
+//          overload)
 //             └─ dispatcher thread: forms same-model-key micro-batches
 //                (serve.batch), bounded window
 //                   └─ plan ThreadPool: one model-store snapshot and one
@@ -24,7 +24,7 @@
 // wall-clock spans through the global recorder (cat "serve": queue /
 // batch / plan / cache_hit) and counters/histograms through the metrics
 // registry (serve.requests, serve.cache_hits, serve.batches,
-// serve.rejected, serve.shed, serve.planned, serve.failed,
+// serve.rejected, serve.planned, serve.failed,
 // serve.batch_size, serve.plan_latency_us, serve.queue_depth,
 // serve.pool.queue_depth).  All of it dead-codes under -DRESHAPE_OBS=OFF;
 // the ServerStats counters below are always live and cost one relaxed
@@ -51,9 +51,9 @@ namespace reshape::serve {
 struct ServerConfig {
   /// Plan-worker threads (the batcher dispatches onto this pool).
   std::size_t workers = 4;
-  /// Admission queue bound; beyond it the overload policy applies.
+  /// Admission queue bound; beyond it newcomers are rejected with a
+  /// retry-after hint.
   std::size_t queue_capacity = 1024;
-  OverloadPolicy overload = OverloadPolicy::kRejectRetryAfter;
   /// Micro-batch limits: at most `max_batch` same-key requests per
   /// dispatch, lingering up to `batch_window` for the batch to fill
   /// (0 = dispatch whatever is queued, never wait).

@@ -62,7 +62,6 @@ ElasticOptions doomed_options() {
   ElasticOptions elastic;
   elastic.epoch = Seconds(60.0);
   elastic.acquisition_budget = 0;
-  elastic.degrade = DegradePolicy::kShedLowestValue;
   return elastic;
 }
 

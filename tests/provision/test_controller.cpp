@@ -130,8 +130,8 @@ TEST(ElasticCampaign, HedgesStragglersAndTheHedgeWins) {
   const corpus::Corpus data = data_40mb();
   const ExecutionPlan plan = slack_plan(data);
 
-  ElasticOptions elastic;
-  const CampaignReport hedged = run_elastic(config, plan, elastic, 77, 2);
+  const CampaignReport hedged =
+      run_elastic(config, plan, ElasticOptions{}, 77, 2);
   ASSERT_GE(hedged.stragglers_flagged, 1u)
       << "seed no longer draws a slow instance; pick another seed";
   EXPECT_GE(hedged.hedges_launched, 1u);
@@ -140,13 +140,6 @@ TEST(ElasticCampaign, HedgesStragglersAndTheHedgeWins) {
   for (const InstanceOutcome& o : hedged.execution.outcomes) {
     EXPECT_TRUE(o.completed);
   }
-
-  // Against the same world with hedging off, the race pays for itself.
-  ElasticOptions unhedged = elastic;
-  unhedged.hedge_stragglers = false;
-  const CampaignReport base = run_elastic(config, plan, unhedged, 77, 2);
-  EXPECT_EQ(base.hedges_launched, 0u);
-  EXPECT_LT(hedged.execution.makespan.value(), base.execution.makespan.value());
 }
 
 // --- crash storms ----------------------------------------------------------
@@ -294,11 +287,10 @@ cloud::ProviderConfig doomed_config() {
   return config;
 }
 
-ElasticOptions doomed_options(DegradePolicy policy) {
+ElasticOptions doomed_options() {
   ElasticOptions elastic;
   elastic.epoch = Seconds(60.0);
   elastic.acquisition_budget = 0;
-  elastic.degrade = policy;
   return elastic;
 }
 
@@ -310,8 +302,8 @@ TEST(ElasticCampaign, ShedsLowestValueFirstWithIndexTiebreak) {
     plan.assignments[i].value = static_cast<double>(i % 3);
   }
 
-  const CampaignReport report = run_elastic(
-      doomed_config(), plan, doomed_options(DegradePolicy::kShedLowestValue));
+  const CampaignReport report =
+      run_elastic(doomed_config(), plan, doomed_options());
 
   // Everything was shed, exactly once each, and reported.
   EXPECT_TRUE(report.degraded);
@@ -366,41 +358,6 @@ TEST(ElasticCampaign, UnitsWithABootingMemberHaveNoPendingBytes) {
   EXPECT_EQ(first.bytes_remaining.count(), 0u);
   EXPECT_EQ(first.acquired, 0u);
   EXPECT_FALSE(first.degraded);
-}
-
-TEST(ElasticCampaign, WidenPolicyWidensInsteadOfShedding) {
-  const corpus::Corpus data = data_40mb();
-  const ExecutionPlan plan = slack_plan(data);
-  const CampaignReport report = run_elastic(
-      doomed_config(), plan, doomed_options(DegradePolicy::kWidenMergeUnits));
-  EXPECT_TRUE(report.degraded);
-  EXPECT_TRUE(report.widened_units);
-  EXPECT_EQ(report.units_shed, 0u);
-  // With no fleet and no budget the stranded units resolve as abandoned,
-  // not shed: widening never drops work.
-  EXPECT_EQ(report.execution.abandoned, plan.instance_count());
-  for (const InstanceOutcome& o : report.execution.outcomes) {
-    EXPECT_FALSE(o.completed);
-    EXPECT_FALSE(o.error.empty());
-  }
-}
-
-TEST(ElasticCampaign, OvershootPolicyAcquiresPastTheBudget) {
-  const corpus::Corpus data = data_40mb();
-  const ExecutionPlan plan = slack_plan(data);
-  ElasticOptions elastic;
-  elastic.acquisition_budget = 0;  // the hard budget forbids every launch…
-  elastic.degrade = DegradePolicy::kOvershootCost;
-  const CampaignReport report =
-      run_elastic(crashy_config(6.0), plan, elastic, 31, 1);
-  ASSERT_GE(report.execution.failures, 1u)
-      << "seed no longer injects a crash; pick another seed";
-  // …but the overshoot policy swaps it for the cost cap and keeps going.
-  EXPECT_GE(report.acquisitions, 1u);
-  EXPECT_EQ(report.units_shed, 0u);
-  for (const InstanceOutcome& o : report.execution.outcomes) {
-    EXPECT_TRUE(o.completed);
-  }
 }
 
 // --- §3.1 checkpoint monitoring --------------------------------------------
@@ -484,42 +441,65 @@ TEST(DynamicExecution, NoReplacementsOnUniformFastFleet) {
   EXPECT_EQ(report.execution.late_units(), 0u);
 }
 
+/// Every unit resolved exactly once: completed, or shed with the shed
+/// error, never both, and the shed set names each shed unit once.
+void expect_resolved_once(const CampaignReport& report) {
+  std::size_t completed = 0;
+  std::vector<std::size_t> shed;
+  for (const InstanceOutcome& o : report.execution.outcomes) {
+    if (o.completed) {
+      ++completed;
+      EXPECT_TRUE(o.error.empty()) << "unit " << o.index << ": " << o.error;
+      continue;
+    }
+    shed.push_back(o.index);
+    EXPECT_EQ(o.error,
+              "shed: deadline infeasible at full acquisition budget")
+        << "unit " << o.index;
+    EXPECT_FALSE(o.met_deadline);
+  }
+  EXPECT_EQ(shed, report.shed_units);
+  EXPECT_EQ(report.units_shed, shed.size());
+  EXPECT_EQ(report.execution.abandoned, 0u);
+  EXPECT_EQ(completed + shed.size(), report.execution.outcomes.size());
+}
+
 TEST(DynamicFaults, SurvivesCrashesAroundTheCheckpoint) {
   // A high crash rate lands failures before, at and after the first
-  // epoch boundary across the fleet; the acquisition budget replaces them.
-  // Widening (not shedding) keeps every unit in play past the deadline.
+  // epoch boundary across the fleet; the acquisition budget replaces them
+  // and the recovered units complete.
   const ExecutionPlan plan = hour_plan(data_200mb());
-  ElasticOptions elastic = checkpoint_options(plan);
-  elastic.degrade = DegradePolicy::kWidenMergeUnits;
   const CampaignReport report =
-      run_elastic(crashy_config(3.0), plan, elastic, 31, 1);
+      run_elastic(crashy_config(3.0), plan, checkpoint_options(plan), 31, 1);
   ASSERT_GE(report.execution.failures, 1u)
       << "seed no longer injects a crash; pick another seed";
-  EXPECT_EQ(report.execution.abandoned, 0u);
   EXPECT_GE(report.acquisitions, 1u);
   EXPECT_GT(report.execution.recovery_time.value(), 0.0);
+  expect_resolved_once(report);
+  std::size_t recovered = 0;
   for (const InstanceOutcome& o : report.execution.outcomes) {
-    EXPECT_TRUE(o.completed);
+    if (!o.completed) continue;
     EXPECT_GT(o.work_time.value(), 0.0);
+    if (o.failures > 0) ++recovered;
   }
+  EXPECT_GE(recovered, 1u) << "no crashed unit went on to complete";
 }
 
 TEST(DynamicFaults, ExhaustedRelaunchBudgetAbandonsCleanly) {
-  // Crashes every few simulated minutes and no budget to replace them;
-  // widening never sheds, so the stranded units are abandoned.
+  // Crashes every few simulated minutes and no budget to replace them:
+  // the lost capacity leaves the deadline out of reach, so the stranded
+  // units are shed, each exactly once and with the shed error.
   const ExecutionPlan plan = hour_plan(data_200mb());
   ElasticOptions elastic = checkpoint_options(plan);
   elastic.acquisition_budget = 0;
-  elastic.degrade = DegradePolicy::kWidenMergeUnits;
   const CampaignReport report =
       run_elastic(crashy_config(40.0), plan, elastic, 31, 1);
-  ASSERT_GT(report.execution.abandoned, 0u);
-  for (const InstanceOutcome& o : report.execution.outcomes) {
-    if (!o.completed) {
-      EXPECT_FALSE(o.error.empty());
-      EXPECT_FALSE(o.met_deadline);
-    }
-  }
+  ASSERT_GE(report.execution.failures, 1u)
+      << "seed no longer injects a crash; pick another seed";
+  EXPECT_EQ(report.acquisitions, 0u);
+  EXPECT_TRUE(report.degraded);
+  EXPECT_GT(report.units_shed, 0u);
+  expect_resolved_once(report);
 }
 
 TEST(DynamicFaults, CrashyRunsReplayBitIdentically) {

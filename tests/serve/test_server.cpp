@@ -10,6 +10,7 @@
 #include <future>
 #include <thread>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -206,11 +207,44 @@ TEST(PlanServer, SameKeyRequestsFormOneMicroBatch) {
   EXPECT_EQ(stats.planned, 8u);
 }
 
+Pending pending_for(std::uint64_t seq) {
+  Pending pending;
+  pending.key = ModelKey("grep", "v1");
+  pending.seq = seq;
+  return pending;
+}
+
+TEST(AdmissionQueue, FullQueueHandsBackTheNewcomerAndStaysUnchanged) {
+  AdmissionQueue queue(2);
+  EXPECT_FALSE(queue.admit(pending_for(1)).has_value());
+  EXPECT_FALSE(queue.admit(pending_for(2)).has_value());
+
+  const std::optional<Pending> refused = queue.admit(pending_for(3));
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->seq, 3u);
+  EXPECT_EQ(queue.depth(), 2u);
+  EXPECT_EQ(queue.high_water(), 2u);
+
+  const std::vector<Pending> queued = queue.drain();
+  ASSERT_EQ(queued.size(), 2u);
+  EXPECT_EQ(queued[0].seq, 1u);
+  EXPECT_EQ(queued[1].seq, 2u);
+}
+
+TEST(AdmissionQueue, AdmittingAfterStopRefuses) {
+  AdmissionQueue queue(4);
+  EXPECT_FALSE(queue.admit(pending_for(1)).has_value());
+  queue.stop();
+  const std::optional<Pending> refused = queue.admit(pending_for(2));
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->seq, 2u);
+  EXPECT_EQ(queue.depth(), 1u);
+}
+
 TEST(PlanServer, OverloadRejectsWithARetryAfterHint) {
   ServerConfig config;
   config.workers = 1;
   config.queue_capacity = 2;
-  config.overload = OverloadPolicy::kRejectRetryAfter;
   config.max_batch = 16;
   config.batch_window = Seconds(0.5);
   PlanServer server(config);
@@ -245,35 +279,6 @@ TEST(PlanServer, OverloadRejectsWithARetryAfterHint) {
   EXPECT_EQ(lead_future.get().status, PlanStatus::kOk);
   EXPECT_EQ(server.stats().rejected, 1u);
   EXPECT_GT(server.retry_after_hint().value(), 0.0);
-}
-
-TEST(PlanServer, OverloadShedsTheOldestUnderShedPolicy) {
-  ServerConfig config;
-  config.workers = 1;
-  config.queue_capacity = 2;
-  config.overload = OverloadPolicy::kShedOldest;
-  config.max_batch = 16;
-  config.batch_window = Seconds(0.5);
-  PlanServer server(config);
-  server.seed_model("a", "v1", prior_fit(5.0, 1e-7));
-  server.seed_model("b", "v1", prior_fit(5.0, 1e-7));
-  const auto corpus = test_corpus(64, 10u << 20);
-
-  auto lead_future = server.submit(request_for(corpus, 60.0, 0, "a"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  std::vector<std::future<PlanResponse>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(server.submit(request_for(corpus, 60.0 + i, 0, "b")));
-  }
-
-  // Freshest-work-wins: the first key-b request was shed to admit the
-  // third; the shed future resolves immediately.
-  EXPECT_EQ(futures[0].get().status, PlanStatus::kShed);
-  EXPECT_EQ(futures[1].get().status, PlanStatus::kOk);
-  EXPECT_EQ(futures[2].get().status, PlanStatus::kOk);
-  EXPECT_EQ(lead_future.get().status, PlanStatus::kOk);
-  EXPECT_EQ(server.stats().shed, 1u);
 }
 
 TEST(PlanServer, ShutdownResolvesEveryOutstandingPromise) {

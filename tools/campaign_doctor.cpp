@@ -13,9 +13,9 @@
 //   chaos   a crash-storm (10 crashes/instance-hour); hedges, re-plans
 //           and recoveries everywhere — the demo world
 //   doomed  a certain AZ outage with a zero acquisition budget; no
-//           instance ever boots, every unit is shed — the world where
-//           the doctor must name acquisition as the dominant phase and
-//           shed-lowest-value as the degradation
+//           instance ever boots, so the controller's one degradation,
+//           shed-lowest-value, sheds every unit — the world where the
+//           doctor must name acquisition as the dominant phase
 //
 // Usage:
 //   campaign_doctor [--world calm|chaos|doomed] [--seed N]
@@ -82,7 +82,6 @@ struct World {
     world.config.boot_min = Seconds(20.0);
     world.elastic.epoch = Seconds(60.0);
     world.elastic.acquisition_budget = 0;
-    world.elastic.degrade = DegradePolicy::kShedLowestValue;
     return world;
   }
   std::fprintf(stderr, "unknown world '%s' (calm|chaos|doomed)\n",
