@@ -896,14 +896,15 @@ class ElasticController {
       outcome.met_deadline =
           unit->done && unit->finished_at <= deadline_abs();
       if (!outcome.met_deadline) ++report.execution.missed;
-      if (!resolved(*unit)) m_abandoned_.add(1);
+      // The epoch chain reschedules while any unit is unresolved, and a
+      // fleet-less epoch sheds what is left, so nothing is abandoned:
+      // the report's `abandoned` stays 0.
+      RESHAPE_REQUIRE(resolved(*unit), "every unit must end done or shed");
       report.execution.makespan =
           std::max(report.execution.makespan, outcome.work_time);
     }
     report.execution.failures = static_cast<std::size_t>(m_failures_.value());
     report.execution.relaunches = acquisitions_;
-    report.execution.abandoned =
-        static_cast<std::size_t>(m_abandoned_.value());
     report.execution.recovery_time = Seconds(m_recovery_time_.value());
     report.execution.instance_hours =
         provider_.billing().instance_hours(provider_.sim().now());
@@ -983,7 +984,6 @@ class ElasticController {
   obs::Counter& m_boot_failures_ =
       metrics_.counter("controller.boot_failures");
   obs::Counter& m_failures_ = metrics_.counter("controller.failures");
-  obs::Counter& m_abandoned_ = metrics_.counter("controller.abandoned");
   obs::Counter& m_suspect_zones_ =
       metrics_.counter("controller.suspect_zones");
   obs::Gauge& m_recovery_time_ =

@@ -95,7 +95,7 @@ struct CampaignReport {
   bool degraded = false;
 
   /// Fraction of units that completed within the campaign deadline (shed
-  /// and abandoned units count as misses).
+  /// units count as misses).
   [[nodiscard]] double deadline_hit_rate() const;
 };
 

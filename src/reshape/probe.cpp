@@ -11,10 +11,11 @@ const ProbeSpec& ProbeSet::original() const {
   throw Error("probe set has no original-layout probe");
 }
 
-namespace {
-
-ProbeSet build_from(const corpus::Corpus& subset, Bytes s0,
-                    std::span<const std::uint64_t> multiples) {
+ProbeSet build_probe_set(const corpus::Corpus& source, Bytes volume, Bytes s0,
+                         std::span<const std::uint64_t> multiples) {
+  const corpus::Corpus subset = source.take_volume(volume);
+  RESHAPE_REQUIRE(s0 >= subset.max_file_size(),
+                  "s0 must be at least the largest file in the probe volume");
   RESHAPE_REQUIRE(!subset.empty(), "probe volume selected no files");
   ProbeSet set;
   set.volume = subset.total_volume();
@@ -46,25 +47,6 @@ ProbeSet build_from(const corpus::Corpus& subset, Bytes s0,
     set.probes.push_back(spec);
   }
   return set;
-}
-
-}  // namespace
-
-ProbeSet build_probe_set(const corpus::Corpus& source, Bytes volume, Bytes s0,
-                         std::span<const std::uint64_t> multiples) {
-  RESHAPE_REQUIRE(s0 >= source.take_volume(volume).max_file_size(),
-                  "s0 must be at least the largest file in the probe volume");
-  return build_from(source.take_volume(volume), s0, multiples);
-}
-
-ProbeSet build_random_probe_set(const corpus::Corpus& source, Bytes volume,
-                                Bytes s0,
-                                std::span<const std::uint64_t> multiples,
-                                Rng& rng) {
-  const corpus::Corpus sample = source.sample_volume(volume, rng);
-  RESHAPE_REQUIRE(s0 >= sample.max_file_size(),
-                  "s0 must be at least the largest sampled file");
-  return build_from(sample, s0, multiples);
 }
 
 }  // namespace reshape::pack

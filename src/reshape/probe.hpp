@@ -43,11 +43,4 @@ struct ProbeSet {
                                        Bytes volume, Bytes s0,
                                        std::span<const std::uint64_t> multiples);
 
-/// A probe set from a random sample of the corpus instead of its head —
-/// the §5 improvement ("consider random samples from our entire data set
-/// and reestimate our predictor").
-[[nodiscard]] ProbeSet build_random_probe_set(
-    const corpus::Corpus& source, Bytes volume, Bytes s0,
-    std::span<const std::uint64_t> multiples, Rng& rng);
-
 }  // namespace reshape::pack

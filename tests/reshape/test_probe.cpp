@@ -68,25 +68,5 @@ TEST(ProbeSet, NoOriginalProbeThrows) {
   EXPECT_THROW((void)empty.original(), Error);
 }
 
-TEST(RandomProbeSet, SamplesDifferentSubsets) {
-  const corpus::Corpus c = big_corpus();
-  const std::vector<std::uint64_t> multiples{2};
-  Rng rng(5);
-  const ProbeSet a = build_random_probe_set(c, 2_MB, 1_MB, multiples, rng);
-  const ProbeSet b = build_random_probe_set(c, 2_MB, 1_MB, multiples, rng);
-  EXPECT_TRUE(a.probes[0].file_count != b.probes[0].file_count ||
-              a.volume != b.volume)
-      << "two random samples were identical";
-}
-
-TEST(RandomProbeSet, VolumeNearTarget) {
-  const corpus::Corpus c = big_corpus();
-  const std::vector<std::uint64_t> multiples{2};
-  Rng rng(6);
-  const ProbeSet set = build_random_probe_set(c, 5_MB, 1_MB, multiples, rng);
-  EXPECT_GE(set.volume, 5_MB);
-  EXPECT_LE(set.volume, 5_MB + c.max_file_size());
-}
-
 }  // namespace
 }  // namespace reshape::pack
