@@ -2,10 +2,12 @@
 // reshaping hot path.
 //
 // Times the naive O(n·b) reference first-fit against the tournament-tree
-// first-fit at n in {10k, 100k, 1M} and emits BENCH_binpack.json with
-// items/sec for each.  Every timed configuration is first checked for
-// bit-identical bin assignments against the reference oracle, so a
-// speedup can never come from a behaviour change.
+// first-fit at n in {10k, 100k, 1M}, and the fixed-bin-count packers
+// (uniform_bins, pack_into_k) at k in {8, 64, 512} over 1M files, and
+// emits BENCH_binpack.json with items/sec for each.  Every timed
+// configuration is first checked for bit-identical bin assignments
+// against its naive oracle, so a speedup can never come from a behaviour
+// change.
 //
 // Modes:
 //   micro_binpack           full sweep (the 1M naive baseline takes a
@@ -29,6 +31,7 @@
 #include "corpus/corpus.hpp"
 #include "corpus/distribution.hpp"
 #include "harness.hpp"
+#include "naive_pack.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "reshape/binpack.hpp"
@@ -66,6 +69,7 @@ bool identical(const pack::Packing& a, const pack::Packing& b) {
 struct Row {
   std::string algo;
   std::size_t n = 0;
+  std::size_t k = 0;  // bin count of a fixed-k packer, 0 for first-fit
   double seconds = 0.0;
   double items_per_sec = 0.0;
 };
@@ -97,11 +101,14 @@ int main(int argc, char** argv) {
   bool all_identical = true;
 
   auto record = [&rows](const std::string& algo, std::size_t n,
-                        double seconds) {
-    rows.push_back(Row{algo, n, seconds,
+                        double seconds, std::size_t k = 0) {
+    rows.push_back(Row{algo, n, k, seconds,
                        seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0});
-    std::printf("  %-24s n=%-9zu %10.4f s   %12.0f items/s\n", algo.c_str(), n,
-                seconds, seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0);
+    const std::string label =
+        k > 0 ? algo + " k=" + std::to_string(k) : algo;
+    std::printf("  %-24s n=%-9zu %10.4f s   %12.0f items/s\n", label.c_str(),
+                n, seconds,
+                seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0);
   };
 
   for (const std::size_t n : ns) {
@@ -135,6 +142,36 @@ int main(int argc, char** argv) {
     if (n == 100'000) speedup_at_100k = t_ff_ref / t_ff_tree;
   }
 
+  // The planner's packers at the fleet sizes it asks for.  pack_into_k
+  // gets the balanced share of the volume, so bins fill first and the
+  // last files spill.
+  if (!smoke) {
+    constexpr std::size_t kFixedN = 1'000'000;
+    const std::vector<corpus::VirtualFile> items = make_files(kFixedN);
+    Bytes total{0};
+    for (const corpus::VirtualFile& item : items) total += item.size;
+    for (const std::size_t k : {std::size_t{8}, std::size_t{64},
+                                std::size_t{512}}) {
+      std::printf("-- n = %zu, k = %zu\n", kFixedN, k);
+      const Bytes share = total / k + 1_B;
+      if (!identical(bench::naive_uniform_bins(items, k),
+                     pack::uniform_bins(items, k)) ||
+          !identical(bench::naive_pack_into_k(items, k, share),
+                     pack::pack_into_k(items, k, share))) {
+        std::fprintf(stderr, "FATAL: fixed-k packer diverged from the naive "
+                             "scan at k=%zu\n", k);
+        all_identical = false;
+        continue;
+      }
+      record("uniform_bins", kFixedN, time_best_of(3, [&] {
+               (void)pack::uniform_bins(items, k);
+             }), k);
+      record("pack_into_k", kFixedN, time_best_of(3, [&] {
+               (void)pack::pack_into_k(items, k, share);
+             }), k);
+    }
+  }
+
   FILE* out = std::fopen("BENCH_binpack.json", "w");
   if (out != nullptr) {
     std::fprintf(out, "{\n  \"bench\": \"micro_binpack\",\n");
@@ -143,10 +180,12 @@ int main(int argc, char** argv) {
     std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(out, "  \"results\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::string k =
+          rows[i].k > 0 ? ", \"k\": " + std::to_string(rows[i].k) : "";
       std::fprintf(out,
-                   "    {\"algo\": \"%s\", \"n\": %zu, \"seconds\": %.6f, "
+                   "    {\"algo\": \"%s\", \"n\": %zu%s, \"seconds\": %.6f, "
                    "\"items_per_sec\": %.1f}%s\n",
-                   rows[i].algo.c_str(), rows[i].n, rows[i].seconds,
+                   rows[i].algo.c_str(), rows[i].n, k.c_str(), rows[i].seconds,
                    rows[i].items_per_sec, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ]");

@@ -74,6 +74,12 @@ Report run(const Config& config) {
     xs.push_back(head.total_volume().as_double());
     ys.push_back(reps.mean());
   }
+  // The probes are growing heads of the corpus, so their volumes never
+  // fall; on a corpus of a few files they all take the same files, and
+  // the fit would see one volume.
+  RESHAPE_REQUIRE(xs.front() < xs.back(),
+                  "the corpus is too small to probe: all five probe volumes "
+                  "hold the same files");
   out.predictor = model::Predictor::fit(xs, ys);
 
   // Plan.

@@ -29,12 +29,13 @@ std::uint32_t open_bin(std::vector<Bin>& bins, Bytes size, Bytes capacity) {
 }
 
 // The tournament tree keeps residuals as signed 64-bit; sizes at or above
-// 2^63 would alias the closed-bin sentinel range.
+// 2^63 would alias the closed-slot sentinel range.
+constexpr std::uint64_t kMaxResidual =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+
 std::int64_t signed_size(const corpus::VirtualFile& file) {
-  RESHAPE_REQUIRE(
-      file.size.count() <=
-          static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()),
-      "file size exceeds the packer's 2^63-1 byte limit");
+  RESHAPE_REQUIRE(file.size.count() <= kMaxResidual,
+                  "file size exceeds the packer's 2^63-1 byte limit");
   return static_cast<std::int64_t>(file.size.count());
 }
 
@@ -43,7 +44,7 @@ std::int64_t signed_size(const corpus::VirtualFile& file) {
 Packing first_fit(std::span<const corpus::VirtualFile> files, Bytes capacity) {
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
   Packing packing = start(files, 0, capacity);
-  detail::ResidualTree tree(files.size());
+  detail::ResidualTree tree;
   for (const corpus::VirtualFile& file : files) {
     const std::int64_t need = signed_size(file);
     std::size_t at = tree.find_first(need);
@@ -84,22 +85,24 @@ Packing pack_into_k(std::span<const corpus::VirtualFile> files, std::size_t k,
   RESHAPE_REQUIRE(k > 0, "need at least one bin");
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
   Packing packing = start(files, k, capacity);
-  detail::ResidualTree tree(k);
-  detail::LoadHeap loads(k);
-  for (std::size_t b = 0; b < k; ++b) {
-    tree.push_bin(static_cast<std::int64_t>(capacity.count()));
-  }
+  detail::ResidualTree tree;
+  // A capacity of 2^63 bytes or more clamps to the tree's signed range;
+  // that changes no placement while a bin holds less than 2^63-1 bytes.
+  const auto residual = static_cast<std::int64_t>(
+      std::min(capacity.count(), kMaxResidual));
+  for (std::size_t b = 0; b < k; ++b) tree.push_bin(residual);
   for (const corpus::VirtualFile& file : files) {
     const std::int64_t need = signed_size(file);
     std::size_t at = tree.find_first(need);
     if (at == detail::ResidualTree::npos) {
-      // Spill to the least-loaded bin; capacity becomes advisory.
-      at = loads.min_index();
+      // Spill to the least-loaded bin; capacity becomes advisory.  Every
+      // bin has the same capacity, so that is the leftmost bin holding
+      // the largest residual.
+      at = tree.find_first(tree.max());
     }
     packing.bins[at].used += file.size;
     packing.bin_of.push_back(static_cast<std::uint32_t>(at));
     tree.deduct(at, need);
-    loads.add(at, file.size.count());
   }
   return packing;
 }
@@ -109,13 +112,20 @@ Packing uniform_bins(std::span<const corpus::VirtualFile> files,
   RESHAPE_REQUIRE(k > 0, "need at least one bin");
   Bytes total{0};
   for (const corpus::VirtualFile& file : files) total += file.size;
+  RESHAPE_REQUIRE(total.count() <= kMaxResidual,
+                  "corpus volume exceeds the packer's 2^63-1 byte limit");
   Packing packing = start(files, k, total);  // capacity is advisory
-  detail::LoadHeap loads(k);
+  // Residual = total - load: the least-loaded bin, lowest index first, is
+  // the leftmost bin holding the largest residual.
+  detail::ResidualTree tree;
+  for (std::size_t b = 0; b < k; ++b) {
+    tree.push_bin(static_cast<std::int64_t>(total.count()));
+  }
   for (const corpus::VirtualFile& file : files) {
-    const std::size_t at = loads.min_index();
+    const std::size_t at = tree.find_first(tree.max());
     packing.bins[at].used += file.size;
     packing.bin_of.push_back(static_cast<std::uint32_t>(at));
-    loads.add(at, file.size.count());
+    tree.deduct(at, static_cast<std::int64_t>(file.size.count()));
   }
   return packing;
 }

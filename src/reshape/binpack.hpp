@@ -59,14 +59,15 @@ inline constexpr std::size_t kMaxInputs =
 /// Packs into exactly `k` bins of `capacity` by first-fit; files that fit
 /// in no bin spill into the currently least-loaded bin (capacity is a
 /// target, not a hard limit — the planner prefers a balanced overflow to
-/// an unschedulable input).  Returns k bins.  O(n log k): tournament-tree
-/// fit queries plus a lazy min-heap for the spill target.
+/// an unschedulable input).  Returns k bins.  O(n log k): the fit query
+/// and the spill target both come from one tree over bin residuals.
 [[nodiscard]] Packing pack_into_k(std::span<const corpus::VirtualFile> files,
                                   std::size_t k, Bytes capacity);
 
 /// Balanced assignment into `k` bins: each file goes to the least-loaded
 /// bin (greedy makespan balance; the paper's "distribute the data
-/// uniformly" improvement, Fig. 8(b)).  O(n log k) via a lazy min-heap.
+/// uniformly" improvement, Fig. 8(b)).  O(n log k) via a tree over bin
+/// residuals.
 [[nodiscard]] Packing uniform_bins(std::span<const corpus::VirtualFile> files,
                                    std::size_t k);
 

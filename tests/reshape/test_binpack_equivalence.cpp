@@ -1,6 +1,7 @@
 // The contract of the O(log b) packers: bit-for-bit identical packings
 // (bin sizes and every file's bin) to the naive reference scans, across 1k
-// seeded corpora with varied sizes, zero-size and oversize items.
+// seeded corpora with varied sizes, zero-size and oversize items, and
+// across the 8-ary tree's level boundaries (8, 64, 512 bins).
 
 #include "reshape/binpack.hpp"
 
@@ -11,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "corpus/distribution.hpp"
+#include "naive_pack.hpp"
 
 namespace reshape::pack {
 namespace {
@@ -31,13 +33,11 @@ void expect_identical(const Packing& got, const Packing& want,
       << algo << " bin contents diverged, seed " << seed;
 }
 
-/// A small corpus with the long-tail size distribution, plus injected
+/// `n` items with the long-tail size distribution, plus injected
 /// oversize items (several times the largest capacity under test) and
 /// occasional zero-size files.
-Files fuzz_items(Rng& rng) {
+Files fuzz_items(Rng& rng, std::size_t n) {
   const corpus::FileSizeDistribution dist = corpus::text_400k_sizes();
-  const std::size_t n =
-      1 + static_cast<std::size_t>(rng.uniform_int(0, 299));
   Files items;
   items.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -51,6 +51,12 @@ Files fuzz_items(Rng& rng) {
     items.push_back({i, size, 1.0});
   }
   return items;
+}
+
+/// A small corpus of 1 to 300 items.
+Files fuzz_items(Rng& rng) {
+  const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 299));
+  return fuzz_items(rng, n);
 }
 
 Bytes fuzz_capacity(Rng& rng) {
@@ -69,47 +75,9 @@ TEST(PackEquivalence, TreeFirstFitMatchesReferenceAcross1kCorpora) {
   }
 }
 
-// pack_into_k and uniform_bins moved from linear min-scans to a tournament
-// tree + lazy min-heap; pin them to inline transcriptions of the original
-// loops.
-
-bool less_used(const Bin& a, const Bin& b) { return a.used < b.used; }
-
-void place(Packing& packing, std::vector<Bin>::iterator target, Bytes size) {
-  target->used += size;
-  packing.bin_of.push_back(
-      static_cast<std::uint32_t>(target - packing.bins.begin()));
-}
-
-Packing naive_pack_into_k(const Files& items, std::size_t k, Bytes capacity) {
-  Packing packing;
-  packing.bins.assign(k, Bin{capacity, Bytes(0)});
-  auto& bins = packing.bins;
-  for (const corpus::VirtualFile& item : items) {
-    auto target = std::find_if(
-        bins.begin(), bins.end(),
-        [&item](const Bin& bin) { return bin.fits(item.size); });
-    if (target == bins.end()) {
-      target = std::min_element(bins.begin(), bins.end(), less_used);
-    }
-    place(packing, target, item.size);
-  }
-  return packing;
-}
-
-Packing naive_uniform_bins(const Files& items, std::size_t k) {
-  Bytes total{0};
-  for (const corpus::VirtualFile& item : items) total += item.size;
-  Packing packing;
-  packing.bins.assign(k, Bin{total, Bytes(0)});
-  for (const corpus::VirtualFile& item : items) {
-    place(packing,
-          std::min_element(packing.bins.begin(), packing.bins.end(),
-                           less_used),
-          item.size);
-  }
-  return packing;
-}
+// pack_into_k and uniform_bins against the textbook scans.
+using bench::naive_pack_into_k;
+using bench::naive_uniform_bins;
 
 TEST(PackEquivalence, FixedBinPackersMatchNaiveScans) {
   for (std::uint64_t seed = 2000; seed < 2200; ++seed) {
@@ -122,6 +90,41 @@ TEST(PackEquivalence, FixedBinPackersMatchNaiveScans) {
                      naive_pack_into_k(items, k, cap), "pack_into_k", seed);
     expect_identical(uniform_bins(items, k), naive_uniform_bins(items, k),
                      "uniform_bins", seed);
+  }
+}
+
+// 5,000 items at a 1 kB capacity open thousands of bins, so the tree
+// grows past 8, 64 and 512 leaves and descends four levels and more.
+TEST(PackEquivalence, TreeFirstFitMatchesReferenceAcrossLevelBoundaries) {
+  for (std::uint64_t seed = 3000; seed < 3020; ++seed) {
+    Rng rng(seed);
+    const Files items = fuzz_items(rng, 5'000);
+    const Packing got = first_fit(items, 1_kB);
+    ASSERT_GT(got.bins.size(), 512u) << "seed " << seed;
+    expect_identical(got, first_fit_reference(items, 1_kB), "first_fit",
+                     seed);
+  }
+}
+
+// k on both sides of every level boundary.  Capacities: 1 byte (every
+// non-empty item spills, so every residual goes negative), 1 kB (most
+// spill), and the balanced share of the volume (fit first, spill late).
+TEST(PackEquivalence, FixedBinPackersMatchNaiveScansAcrossLevelBoundaries) {
+  constexpr std::size_t kBins[] = {1, 7, 8, 9, 63, 64, 65, 511, 512, 513};
+  for (std::uint64_t seed = 4000; seed < 4004; ++seed) {
+    Rng rng(seed);
+    const Files items = fuzz_items(rng, 3'000);
+    Bytes total{0};
+    for (const corpus::VirtualFile& item : items) total += item.size;
+    for (const std::size_t k : kBins) {
+      for (const Bytes cap : {Bytes(1), 1_kB, total / k + 1_B}) {
+        expect_identical(pack_into_k(items, k, cap),
+                         naive_pack_into_k(items, k, cap), "pack_into_k",
+                         seed);
+      }
+      expect_identical(uniform_bins(items, k), naive_uniform_bins(items, k),
+                       "uniform_bins", seed);
+    }
   }
 }
 
